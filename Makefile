@@ -9,15 +9,15 @@ GO ?= go
 GOTAGS ?=
 TAGFLAG = $(if $(GOTAGS),-tags $(GOTAGS))
 
-.PHONY: ci ci-purego check fmt vet build test test-race test-scale test-trace cover fuzz-short test-fault test-service bench bench-allocs bench-json bench-compare docs clean clean-check
+.PHONY: ci ci-purego check fmt vet build test test-race test-scale test-trace test-bench cover fuzz-short test-fault test-service bench bench-allocs bench-json bench-compare docs clean clean-check
 
 # ci is the full local tier-1 gate: the hardware-independent checks plus
 # the fault-injection suite, the population-scale tiled-identity smoke,
-# a short fuzz run beyond the committed seed corpora, the timing smoke
-# run and the ns/op regression gate against the committed trajectory
-# file (which self-disables on non-comparable hardware; see
-# bench-compare).
-ci: check test-trace test-fault test-service test-scale fuzz-short bench bench-compare
+# the end-to-end benchmark's smoke test, a short fuzz run beyond the
+# committed seed corpora, the timing smoke run and the ns/op regression
+# gate against the committed trajectory file (which self-disables on
+# non-comparable hardware; see bench-compare).
+ci: check test-trace test-fault test-service test-scale test-bench fuzz-short bench bench-compare
 
 # ci-purego is the fallback-path leg of the matrix: the same
 # hardware-independent gate with the assembly kernel compiled out.
@@ -66,13 +66,20 @@ test-scale:
 # test-trace gates the recording stack end to end: the tracev2 codec
 # property tests (round-trip, seek, torn-tail and corruption discipline,
 # writer zero-alloc) plus the public-API round-trip matrix — record a
-# real flood across tiled/parallel worlds and both index-sync regimes,
+# real flood across tiled/parallel worlds at slow and fast agent speeds,
 # replay it, and require bit-identical positions, informed sets and
 # discovery order. -count=1 keeps the randomized legs honest across
 # repeated ci runs on an unchanged tree.
 test-trace:
 	$(GO) test $(TAGFLAG) -count=1 ./internal/tracev2/
 	$(GO) test $(TAGFLAG) -count=1 -run 'TestRecord|TestObserver|TestSourceExplicit' .
+
+# test-bench runs the end-to-end benchmark's smoke test (floodbench/, its
+# own module): every workload at tiny sizes with all correctness checks
+# on, so a change that breaks the benchmark harness fails here rather
+# than in the next measurement.
+test-bench:
+	cd floodbench && $(GO) test $(TAGFLAG) ./...
 
 # cover enforces the coverage floor on the mobility layer: the SoA
 # populations duplicate every model's stepping logic, so untested lines
@@ -87,13 +94,14 @@ cover:
 	awk -v t="$$total" -v f="$(MOBILITY_COVER_FLOOR)" 'BEGIN { exit (t+0 >= f+0) ? 0 : 1 }' || \
 		{ echo "coverage below floor"; exit 1; }
 
-# fuzz-short runs each differential fuzzer briefly past its committed
-# seed corpus — a cheap randomized sweep for kernel-vs-reference
-# divergence on every full ci run; `go test -fuzz <name>` without
-# -fuzztime searches indefinitely.
+# fuzz-short runs each fuzzer briefly past its committed seed corpus — a
+# cheap randomized sweep for kernel-vs-reference divergence and for
+# panics in the floodd job-spec decoder on every full ci run;
+# `go test -fuzz <name>` without -fuzztime searches indefinitely.
 fuzz-short:
 	$(GO) test $(TAGFLAG) -run '^$$' -fuzz FuzzBucketsDifferential -fuzztime 15s ./internal/kernel/
 	$(GO) test $(TAGFLAG) -run '^$$' -fuzz FuzzMaskDifferential -fuzztime 15s ./internal/kernel/
+	$(GO) test $(TAGFLAG) -run '^$$' -fuzz FuzzJobSpec -fuzztime 15s ./internal/service/
 
 # FAULTTAGS appends the faultinject tag to the active variant, so the
 # fault suite can run against either kernel build.
@@ -102,8 +110,8 @@ FAULTTAGS = $(if $(GOTAGS),$(GOTAGS)$(comma)faultinject,faultinject)
 
 # test-fault runs the fault-injection suite: the faultinject build tag
 # compiles the hook registry in (Active = true) and the suite forces
-# trial panics, worker stalls, a mid-sweep kernel downgrade and spatial
-# index rebuild bails against the production sweep runner. The -race leg
+# trial panics, worker stalls and a mid-sweep kernel downgrade against
+# the production sweep runner. The -race leg
 # catches unsynchronized hook firing; the experiments package rides along
 # to prove its crash-safety tests survive with the hooks compiled in.
 test-fault:
@@ -129,8 +137,8 @@ bench:
 	$(GO) test $(TAGFLAG) -run '^$$' -bench 'WorldStep10k|MobilityAdvance10k|FloodStep4k$$|IndexRebuild10k|IndexNeighbors10k' -benchtime 100x -benchmem .
 
 # bench-allocs is the hardware-independent allocation gate: the steady
-# state of every hot loop (world step, plain/chained flood step, KGossip
-# step, index delta update) must be 0 allocs/op. Exact on any machine, so
+# state of every hot loop (world step with its index rebuild, plain/
+# chained flood step, KGossip step, trace writer) must be 0 allocs/op. Exact on any machine, so
 # CI runs it where the absolute-ns/op gate would be meaningless.
 bench-allocs:
 	$(GO) run $(TAGFLAG) ./cmd/bench -allocs

@@ -17,8 +17,8 @@
 // (non-zero exit), which is the CI regression gate (`make ci`). The
 // committed BENCH_1.json carries the seed engine's numbers as
 // baseline_ns_per_op; BENCH_2.json is the SoA-positions trajectory,
-// BENCH_3.json the delta-index one, BENCH_4.json the
-// dirty-driven-flooding one, BENCH_5.json the vectorized
+// BENCH_3.json the delta-index one (that path has since been deleted),
+// BENCH_4.json the dirty-driven-flooding one, BENCH_5.json the vectorized
 // distance-kernel one, BENCH_6.json the SoA mobility-state trajectory
 // with the fused advance→classify pass, and BENCH_7.json — the tiled-
 // world trajectory — is what the gate compares against by default. The
@@ -57,9 +57,9 @@
 // # Allocation gate (-allocs)
 //
 // -allocs runs the hardware-independent allocation gate instead of the
-// timing benchmarks: the steady-state hot loops — world step, plain and
-// chained flood step, KGossip step, and the spatial index's delta update
-// — must perform zero allocations per operation. Unlike the ns/op gate
+// timing benchmarks: the steady-state hot loops — world step (including
+// the index rebuild), plain and chained flood step, KGossip step, and the
+// trace writer — must perform zero allocations per operation. Unlike the ns/op gate
 // this holds on any machine, so it is the leg of the benchmark suite
 // that CI runs on every push.
 package main
@@ -191,7 +191,6 @@ func main() {
 		{"flood_step_20k", benchFloodStep(20000, false)},
 		{"kgossip_step_4k", benchKGossipStep(4000)},
 		{"index_rebuild_10k", benchIndexRebuild(10000)},
-		{"index_update_10k", benchIndexUpdate(10000)},
 		{"index_neighbors_10k", benchIndexNeighbors(10000)},
 		{"kernel_span_16", benchKernelSpan(16)},
 		{"kernel_span_64", benchKernelSpan(64)},
@@ -629,45 +628,6 @@ func benchIndexRebuild(n int) func(b *testing.B) {
 	}
 }
 
-// benchIndexUpdate measures the delta-update path against real mobility
-// kinematics: two consecutive position frames of an MRWP world at the
-// E03-default velocity (v=0.1, R=4 — about a 2.5% bucket-mover fraction
-// per step) are replayed through Index.Update in ping-pong order, so every
-// transition is exactly one mobility step's displacement and the frames
-// stay cache-resident, as the simulator's single live coordinate array
-// does. This is the workload World.Step runs on the slow-agent sweeps
-// (E03/E04/E11); compare with index_rebuild_10k for the full counting
-// sort it replaces there.
-func benchIndexUpdate(n int) func(b *testing.B) {
-	return func(b *testing.B) {
-		const l, r = 100.0, 4.0
-		w, err := sim.NewWorld(sim.Params{N: n, L: l, R: r, V: 0.1, Seed: 7}, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ax := append([]float64(nil), w.X()...)
-		ay := append([]float64(nil), w.Y()...)
-		w.Step()
-		bx := append([]float64(nil), w.X()...)
-		by := append([]float64(nil), w.Y()...)
-		ix, err := spatialindex.New(l, r)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ix.RebuildXY(ax, ay)
-		ix.Update(bx, by, nil)
-		ix.Update(ax, ay, nil) // warm the delta scratch
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if i%2 == 0 {
-				ix.Update(bx, by, nil)
-			} else {
-				ix.Update(ax, ay, nil)
-			}
-		}
-	}
-}
-
 func benchIndexNeighbors(n int) func(b *testing.B) {
 	return func(b *testing.B) {
 		const l, r = 100.0, 4.0
@@ -778,9 +738,8 @@ func benchKernelSpan(n int) func(b *testing.B) {
 }
 
 // newTraceWriteOp builds a steady-state trace WriteStep op at population
-// scale: two consecutive world frames are replayed in ping-pong order (as
-// in benchIndexUpdate), so every op encodes one real mobility step's worth
-// of position deltas, plus a representative flooding block (a one-third
+// scale: two consecutive world frames are replayed in ping-pong order, so
+// every op encodes one real mobility step's worth of position deltas, plus a representative flooding block (a one-third
 // informed bitmap era with a few hundred newly-informed ids per step).
 // The io.Discard sink isolates encoding cost from the filesystem.
 func newTraceWriteOp(n int) (op func() error, err error) {
@@ -988,33 +947,6 @@ func runAllocGate(w io.Writer) int {
 				}
 			}
 			return wrapped, wrapped, nil
-		}},
-		{name: "index_update_10k", warmups: 8, setup: func() (func(), func(), error) {
-			const l, r = 100.0, 4.0
-			world, err := sim.NewWorld(sim.Params{N: 10000, L: l, R: r, V: 0.1, Seed: 7}, nil)
-			if err != nil {
-				return nil, nil, err
-			}
-			ax := append([]float64(nil), world.X()...)
-			ay := append([]float64(nil), world.Y()...)
-			world.Step()
-			bx := append([]float64(nil), world.X()...)
-			by := append([]float64(nil), world.Y()...)
-			ix, err := spatialindex.New(l, r)
-			if err != nil {
-				return nil, nil, err
-			}
-			ix.RebuildXY(ax, ay)
-			flip := false
-			op := func() {
-				if flip {
-					ix.Update(ax, ay, nil)
-				} else {
-					ix.Update(bx, by, nil)
-				}
-				flip = !flip
-			}
-			return op, op, nil
 		}},
 	}
 	failures := 0

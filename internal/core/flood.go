@@ -29,17 +29,6 @@
 // second phase (Theorem 3's Suburb phase, when almost every agent is
 // informed) a step costs O(cells + #uninformed * blocksize), not O(n).
 //
-// The sweep is additionally dirty-driven when the world can prove what
-// moved: spatialindex.Index.Update publishes an exact per-bucket change
-// summary whenever it ran from a per-agent dirty bitmap (pause-heavy
-// worlds on the delta path), and prepareSweepSkip dilates those marks —
-// plus the buckets holding agents informed in the previous round — into a
-// 3x3-block mask. A bucket whose whole block is unchanged and
-// transmitter-free-of-news is skipped without touching its rows: its
-// candidates heard nothing last round, and nothing that could change that
-// has moved or learned anything since. The mask is dropped (full scan)
-// whenever the summary is inexact, so correctness never depends on it.
-//
 // The ids that hear a transmitter are collected in bucket-major order —
 // deterministic, though not ascending; all downstream state (informed
 // flags, counts, series, zone tracking) is order-independent.
@@ -133,23 +122,17 @@ type Flooding struct {
 	swTl   *spatialindex.Tiling
 	swCols int
 
-	// Dirty-driven sweep state (see prepareSweepSkip): fresh holds the ids
-	// informed during the previous Step (sweep hits plus chained-in agents;
-	// the source after a reset), lastTime the world time that Step ended
-	// at, and sweepSkip the per-bucket mask for the current sweep — nil
-	// when every bucket must be scanned.
-	fresh     []int32
-	sweepSkip []bool
-	skipSeed  []bool // scratch: change marks + fresh-informed buckets, then the dilated mask
+	// fresh holds the ids informed during the most recent Step (sweep
+	// hits, then chained-in agents; the source after a reset). It backs
+	// LastStepNewlyInformed and the step observer.
+	fresh []int32
 
 	// catch forwards panics out of the sharded sweep/chaining workers onto
 	// the stepping goroutine, where the trial runner's recover can turn
 	// them into structured per-trial errors instead of a process crash. A
 	// field (not a per-call local) so the parallel paths stay
 	// allocation-free in the steady state.
-	catch    panicsafe.Catcher
-	skipTmp  []bool // scratch: horizontal dilation pass
-	lastTime int
+	catch panicsafe.Catcher
 
 	// observer, when set (WithStepObserver), is invoked by Run/RunContext
 	// after every completed flooding step with the ids informed during
@@ -255,12 +238,7 @@ func (f *Flooding) reset(source int) {
 	if f.recordSeries {
 		f.series = append(f.series, 1)
 	}
-	// Re-arm the dirty-driven sweep: the source is the only agent whose
-	// informed state differs from "nobody knows anything", and the world
-	// has not been observed stepping yet.
 	f.fresh = append(f.fresh[:0], int32(source))
-	f.sweepSkip = nil
-	f.lastTime = f.w.Time()
 	f.obsStarted = false
 	f.updateCZ()
 }
@@ -350,10 +328,6 @@ func (f *Flooding) Step() int {
 		}
 	}
 
-	// Consumes the previous step's fresh list, so it must run before the
-	// list is rebuilt for this step.
-	f.prepareSweepSkip(ix)
-
 	f.newlyInformed = f.newlyInformed[:0]
 	workers := f.w.Params().Workers
 	switch {
@@ -382,87 +356,9 @@ func (f *Flooding) Step() int {
 		f.series = append(f.series, f.count)
 	}
 	f.updateCZ()
-	f.lastTime = f.w.Time()
 	return newly
 }
 
-// prepareSweepSkip builds the per-bucket skip mask for this step's
-// transmission sweep from the index's change summary. A bucket may be
-// skipped when no bucket of its 3x3 block changed during the world step
-// (occupancy or published coordinates) and none holds an agent informed
-// during the previous round: its candidates heard no transmitter last
-// round, every agent of the block sits exactly where it sat then, and no
-// new transmitter appeared — so the candidates hear nothing this round
-// either, without touching a single row. The mask is nil (scan every
-// bucket) when the summary is inexact — full rebuilds, worlds without
-// dirty bits — or when the flooding did not observe the previous world
-// step, which would leave unsummarized movement in between.
-func (f *Flooding) prepareSweepSkip(ix *spatialindex.Index) {
-	marks, exact := ix.ChangedBuckets()
-	if !exact || f.w.Time() != f.lastTime+1 {
-		f.sweepSkip = nil
-		return
-	}
-	m := ix.NumCells()
-	cols := ix.Cols()
-	if len(f.skipSeed) != m {
-		f.skipSeed = make([]bool, m)
-		f.skipTmp = make([]bool, m)
-	}
-	seed := f.skipSeed
-	copy(seed, marks)
-	for _, id := range f.fresh {
-		seed[ix.Cell(int(id))] = true
-	}
-	// Separable 3x3 dilation, horizontal then vertical: afterwards
-	// seed[c] is set iff any bucket of c's 3x3 block was seeded.
-	tmp := f.skipTmp
-	for y := 0; y < cols; y++ {
-		in := seed[y*cols : (y+1)*cols]
-		out := tmp[y*cols : (y+1)*cols]
-		for x := range in {
-			v := in[x]
-			if x > 0 {
-				v = v || in[x-1]
-			}
-			if x+1 < cols {
-				v = v || in[x+1]
-			}
-			out[x] = v
-		}
-	}
-	for y := 0; y < cols; y++ {
-		out := seed[y*cols : (y+1)*cols]
-		mid := tmp[y*cols : (y+1)*cols]
-		for x := range out {
-			v := mid[x]
-			if y > 0 {
-				v = v || tmp[(y-1)*cols+x]
-			}
-			if y+1 < cols {
-				v = v || tmp[(y+1)*cols+x]
-			}
-			out[x] = v
-		}
-	}
-	f.sweepSkip = seed
-}
-
-// sweep runs one transmission round over the uninformed occupants of
-// buckets [c0, c1), appending the ids that hear a transmitter to dst in
-// CSR (bucket-major) order. It only reads shared state, so shards may run
-// it concurrently over disjoint bucket ranges.
-//
-// Iterating candidates bucket by bucket instead of down the uninformed id
-// list is what makes the sweep cheap: every candidate in a bucket shares
-// the same 3x3 block, so the block bounds, the three row spans and the
-// per-row occupancy skip are computed once per bucket instead of once per
-// candidate, candidate coordinates stream out of the CSR slices
-// sequentially, and a bucket with no uninformed occupant is skipped with a
-// single counter load. When the dirty-driven mask is available
-// (prepareSweepSkip), a bucket whose whole 3x3 block is unchanged since
-// the previous round is skipped with one more load, before any row span is
-// touched.
 // transMajorFactor selects the sweep's per-bucket evaluation strategy:
 // transmitter-major coverage when the block holds at most this many
 // transmitters per candidate (each transmitter then costs one MaskWord
@@ -485,6 +381,18 @@ const rowWindowWords = 4
 // 64-lane chunk.
 const sparseWndPop = 8
 
+// sweep runs one transmission round over the uninformed occupants of
+// buckets [c0, c1), appending the ids that hear a transmitter to dst in
+// CSR (bucket-major) order. It only reads shared state, so shards may run
+// it concurrently over disjoint bucket ranges.
+//
+// Iterating candidates bucket by bucket instead of down the uninformed id
+// list is what makes the sweep cheap: every candidate in a bucket shares
+// the same 3x3 block, so the block bounds, the three row spans and the
+// per-row occupancy skip are computed once per bucket instead of once per
+// candidate, candidate coordinates stream out of the CSR slices
+// sequentially, and a bucket with no uninformed occupant is skipped with a
+// single counter load.
 func (f *Flooding) sweep(ix *spatialindex.Index, c0, c1 int, dst []int32) []int32 {
 	r := ix.Radius()
 	r2 := r * r
@@ -492,15 +400,11 @@ func (f *Flooding) sweep(ix *spatialindex.Index, c0, c1 int, dst []int32) []int3
 	ids, cxs, cys := ix.CSR()
 	informed := f.informed
 	bucketUninf := f.bucketUninf
-	skip := f.sweepSkip
 	var rowLo, rowHi [3]int32
 	var twnd [3][rowWindowWords]uint64
 	for c := c0; c < c1; c++ {
 		nu := bucketUninf[c]
 		if nu == 0 {
-			continue
-		}
-		if skip != nil && !skip[c] {
 			continue
 		}
 		lo, hi := ix.CellSpanBounds(c)

@@ -74,14 +74,13 @@ func (r *refFlood) step() int {
 	return newly
 }
 
-// The frontier engine (occupancy-skip bucket sweep + dirty-driven bucket
-// skipping + BFS chaining closure) must produce bit-identical informed
-// sets to the brute-force AoS reference flood, step by step, across seeds,
-// population sizes, the chaining ablation, parallel stepping/sweeping, the
-// pooled (World.Reset + Flooding.Reset) construction path, and pause-heavy
-// worlds — the regime where the index publishes exact per-bucket change
-// summaries and the sweep actually skips unchanged buckets. The reference
-// recomputes every step from scratch, so any unsound skip diverges here.
+// The frontier engine (occupancy-skip bucket sweep + BFS chaining
+// closure) must produce bit-identical informed sets to the brute-force
+// AoS reference flood, step by step, across seeds, population sizes, the
+// chaining ablation, parallel stepping/sweeping, the pooled (World.Reset +
+// Flooding.Reset) construction path, and pause-heavy worlds. The
+// reference recomputes every step from scratch, so any unsound skip
+// diverges here.
 func TestFrontierMatchesBruteReference(t *testing.T) {
 	cases := []struct {
 		n       int
@@ -105,10 +104,8 @@ func TestFrontierMatchesBruteReference(t *testing.T) {
 		{300, 5, false, 0, true, 0, 0},
 		{300, 5, true, 0, true, 0, 0},
 		{300, 6, false, 3, true, 0, 0},
-		// Pause-heavy worlds. At v=0.4, V/R > 0.05 exercises the sampled
-		// dirty-count decision (delta path once enough agents rest); the
-		// slow v=0.1 cases pin the delta path outright, so the change
-		// summary is exact from the first step.
+		// Pause-heavy worlds, at the default speed and at a slow v=0.1
+		// where resting agents dominate.
 		{300, 7, false, 0, false, 60, 0},
 		{300, 7, true, 0, false, 60, 0},
 		{300, 8, false, 0, false, 200, 0.1},

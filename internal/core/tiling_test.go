@@ -51,14 +51,14 @@ func TestTiledFloodBitIdentical(t *testing.T) {
 		factory sim.ModelFactory
 		opts    []FloodOption
 	}{
-		// Delta-path world (V/R = 0.025), plain one-hop protocol.
+		// Small per-step displacement (V/R = 0.025), plain one-hop protocol.
 		{"delta", sim.Params{N: 1500, L: 30, R: 4, V: 0.1, Seed: 5}, nil, nil},
-		// Rebuild-path world (V/R = 0.2).
+		// Fast world (V/R = 0.2).
 		{"rebuild", sim.Params{N: 1500, L: 30, R: 2, V: 0.4, Seed: 6}, nil, nil},
 		// Chained protocol: the closure consumes the merged hit order.
 		{"chained", sim.Params{N: 1200, L: 30, R: 3, V: 0.2, Seed: 7}, nil,
 			[]FloodOption{WithinStepChaining(true)}},
-		// Pause-heavy world: dirty-driven sweep mask plus tiled sweep.
+		// Pause-heavy world: most agents rest through most steps.
 		{"paused", sim.Params{N: 1000, L: 30, R: 3, V: 0.1, Seed: 8},
 			sim.PausedMRWPFactory(5), []FloodOption{WithSeries(true)}},
 	}

@@ -169,22 +169,3 @@ func TestMidSweepKernelDowngradeBitIdentical(t *testing.T) {
 		t.Fatalf("kernel downgrade changed results (bit-identity contract broken)\ndowngraded: %s\nclean: %s", got, want)
 	}
 }
-
-// TestIndexSyncBailBitIdentical forces the spatial index to abandon the
-// delta-update path for a pseudo-random subset of steps, falling back to
-// the full rebuild — which must be bit-identical to the incremental path.
-func TestIndexSyncBailBitIdentical(t *testing.T) {
-	want := clean(t, 2)
-	defer faultinject.Reset()
-	var step atomic.Int64
-	faultinject.SetIndexSyncBail(func() bool {
-		return step.Add(1)%7 == 0
-	})
-	res, err := experiments.RunSweep(experiments.Config{Workers: 2}, spec())
-	if err != nil {
-		t.Fatalf("sweep: %v", err)
-	}
-	if got := mustJSON(t, res); !bytes.Equal(got, want) {
-		t.Fatalf("forced rebuild changed results (delta-update equivalence broken)\nforced: %s\nclean: %s", got, want)
-	}
-}

@@ -11,9 +11,6 @@
 //   - mid-sweep kernel downgrade (a TrialStart hook calling
 //     kernel.SetGeneric) — exercising the bit-identity contract across a
 //     runtime implementation switch;
-//   - index delta-update bail (the IndexSyncBail hook forcing
-//     sim.World.syncIndex onto the full counting-sort rebuild) —
-//     exercising the rebuild/delta bit-identity contract mid-run;
 //   - artificial worker stalls (the WorkerStall hook sleeping) —
 //     exercising drain/cancellation behavior under slow shards;
 //   - stalled or poisoned service jobs (the JobDispatch hook sleeping or

@@ -13,8 +13,5 @@ func FireTrialStart(Trial) {}
 // FireWorkerStall is a no-op in the default build.
 func FireWorkerStall(shard int) {}
 
-// FireIndexSyncBail never forces a rebuild in the default build.
-func FireIndexSyncBail() bool { return false }
-
 // FireJobDispatch is a no-op in the default build.
 func FireJobDispatch(jobID string, point, trial int) {}

@@ -16,7 +16,6 @@ var registry struct {
 	mu          sync.Mutex
 	trialStart  func(Trial)
 	stall       func(shard int)
-	indexBail   func() bool
 	jobDispatch func(jobID string, point, trial int)
 }
 
@@ -38,16 +37,6 @@ func SetWorkerStall(f func(shard int)) {
 	registry.mu.Unlock()
 }
 
-// SetIndexSyncBail arms f to be consulted by sim.World.syncIndex; when f
-// returns true the world abandons the delta-update path for that step and
-// runs the full counting-sort rebuild (whose result must be
-// bit-identical). nil disarms.
-func SetIndexSyncBail(f func() bool) {
-	registry.mu.Lock()
-	registry.indexBail = f
-	registry.mu.Unlock()
-}
-
 // SetJobDispatch arms f to run on the sweep service's worker goroutine
 // immediately before a dispatched (job, point, trial) cell executes —
 // the server-layer fault site. A sleeping f simulates a stalled trial
@@ -64,7 +53,6 @@ func Reset() {
 	registry.mu.Lock()
 	registry.trialStart = nil
 	registry.stall = nil
-	registry.indexBail = nil
 	registry.jobDispatch = nil
 	registry.mu.Unlock()
 }
@@ -97,15 +85,4 @@ func FireJobDispatch(jobID string, point, trial int) {
 	if f != nil {
 		f(jobID, point, trial)
 	}
-}
-
-// FireIndexSyncBail consults the armed bail hook; false when disarmed.
-func FireIndexSyncBail() bool {
-	registry.mu.Lock()
-	f := registry.indexBail
-	registry.mu.Unlock()
-	if f != nil {
-		return f()
-	}
-	return false
 }

@@ -56,12 +56,6 @@
 //     step discipline: Bind first, InitAgent per slot (publishing the
 //     initial position), then StepRange over disjoint ranges (safe to run
 //     concurrently — every agent writes only its own slots).
-//
-// View.Dirty, when non-nil, collects per-agent "position changed" bits
-// for the spatial index's delta update: every publish sets the bit, and
-// an agent that rested through a whole step (way-point pauses) skips the
-// publish, leaving its bit clear. Models whose agents always move report
-// NeverRests, letting the simulator drop the bitmap entirely.
 package mobility
 
 import (
@@ -90,23 +84,10 @@ type Agent interface {
 // of every Step, so the simulator's hot loops read flat float64 slices and
 // never pay a second interface call (Pos) per agent per step. Agent
 // stepping itself is untouched — the view only routes the final write — so
-// trajectories are bit-identical to the unbound path.
-//
-// Dirty, when non-nil, is the per-agent dirty bitmap the simulator hands
-// to the spatial index's delta-update path: every publish sets
-// Dirty[slot], and an agent that did not move at all this step (a
-// way-point agent resting out its pause) skips publishing — its slot
-// already holds the right coordinates — leaving its bit clear, so the
-// index can skip untouched agents entirely. Setting the bit
-// unconditionally in publish keeps the mobility inner loop store-only
-// (no load-compare per agent); the "did I move" test lives with the one
-// model that can rest, on its own cache-hot state. The simulator owns
-// the bitmap and clears it before stepping the population; agents only
-// ever write their own slot and bit, which keeps parallel stepping
-// race-free.
+// trajectories are bit-identical to the unbound path. Agents only ever
+// write their own slot, which keeps parallel stepping race-free.
 type View struct {
-	X, Y  []float64
-	Dirty []bool
+	X, Y []float64
 }
 
 // SlotWriter is implemented by agents that can scatter their position
@@ -132,15 +113,10 @@ type slotSink struct {
 // bind attaches the view slot.
 func (s *slotSink) bind(v View, slot int) { s.out, s.slot = v, slot }
 
-// publish scatters (x, y) into the bound slot, if any, and marks the slot
-// dirty. Agents that know they did not move this step skip the call and
-// leave their bit clear (see View.Dirty).
+// publish scatters (x, y) into the bound slot, if any.
 func (s *slotSink) publish(x, y float64) {
 	if s.out.X == nil {
 		return
-	}
-	if s.out.Dirty != nil {
-		s.out.Dirty[s.slot] = true
 	}
 	s.out.X[s.slot] = x
 	s.out.Y[s.slot] = y
@@ -189,14 +165,6 @@ type Model interface {
 	Name() string
 	// NewAgent creates one agent in the model's initial distribution.
 	NewAgent(rng *rand.Rand) Agent
-	// NeverRests reports whether every agent of this model changes
-	// position on every step. Way-point models without pauses, random
-	// walks and random-direction agents always cover distance V per time
-	// unit, so their dirty bit would be set unconditionally; the simulator
-	// uses this capability to skip per-agent dirty-bit collection entirely
-	// (see sim.World.Step). A model with any resting state (way-point
-	// pauses) must return false so resting agents keep their bits clear.
-	NeverRests() bool
 }
 
 // Population is the structure-of-arrays form of n agents of one model:

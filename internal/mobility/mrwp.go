@@ -55,9 +55,6 @@ func NewMRWP(cfg Config, opts ...MRWPOption) (*MRWP, error) {
 // Name implements Model.
 func (m *MRWP) Name() string { return "mrwp" }
 
-// NeverRests implements Model: MRWP agents travel distance V every step.
-func (m *MRWP) NeverRests() bool { return true }
-
 // NewPopulation implements BulkStepper.
 func (m *MRWP) NewPopulation(n int) Population { return newMRWPPop(m, n) }
 

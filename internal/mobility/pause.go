@@ -57,10 +57,6 @@ func NewPausedMRWP(cfg Config, maxPause float64) (*PausedMRWP, error) {
 // Name implements Model.
 func (m *PausedMRWP) Name() string { return "mrwp-paused" }
 
-// NeverRests implements Model: paused agents can rest through whole steps,
-// so the simulator must keep collecting per-agent dirty bits.
-func (m *PausedMRWP) NeverRests() bool { return false }
-
 // NewPopulation implements BulkStepper.
 func (m *PausedMRWP) NewPopulation(n int) Population { return newPausedPop(m, n) }
 
@@ -186,12 +182,6 @@ func (a *PausedAgent) Step() {
 		a.travelled = 0
 	}
 	np := a.path.At(a.travelled).Clamp(a.cfg.L)
-	if np == a.pos {
-		// Rested through the whole step: the bound slot already holds
-		// this position, and skipping the publish keeps the dirty bit
-		// clear so the spatial index's delta update skips the agent too.
-		return
-	}
 	a.pos = np
 	a.publish(np.X, np.Y)
 }

@@ -50,9 +50,6 @@ func NewRWP(cfg Config, opts ...RWPOption) (*RWP, error) {
 // Name implements Model.
 func (m *RWP) Name() string { return "rwp" }
 
-// NeverRests implements Model: RWP agents travel distance V every step.
-func (m *RWP) NeverRests() bool { return true }
-
 // NewPopulation implements BulkStepper.
 func (m *RWP) NewPopulation(n int) Population { return newRWPPop(m, n) }
 

@@ -39,12 +39,9 @@ func (p *popBase) Bind(v View) {
 	p.view = v
 }
 
-// publish scatters (x, y) into slot i and marks it dirty, exactly like
-// slotSink.publish for a bound agent (Dirty store first, store-only).
+// publish scatters (x, y) into slot i, exactly like slotSink.publish for
+// a bound agent.
 func (p *popBase) publish(i int, x, y float64) {
-	if p.view.Dirty != nil {
-		p.view.Dirty[i] = true
-	}
 	p.view.X[i] = x
 	p.view.Y[i] = y
 }
@@ -121,7 +118,7 @@ func (p *mrwpPop) syncLeg(i int) {
 // boundary hits fall through to stepSlow, the ported exact loop.
 func (p *mrwpPop) StepRange(lo, hi int) {
 	v, l := p.m.cfg.V, p.m.cfg.L
-	x, y, dirty := p.view.X, p.view.Y, p.view.Dirty
+	x, y := p.view.X, p.view.Y
 	trav := p.travelled
 	legS, legE, legT := p.legS, p.legE, p.legT
 	bx, by, dx, dy := p.legBX, p.legBY, p.legDX, p.legDY
@@ -131,9 +128,6 @@ func (p *mrwpPop) StepRange(lo, hi int) {
 			trav[i] = t
 			u := t - legS[i]
 			pos := geom.Point{X: bx[i] + u*dx[i], Y: by[i] + u*dy[i]}.Clamp(l)
-			if dirty != nil {
-				dirty[i] = true
-			}
 			x[i] = pos.X
 			y[i] = pos.Y
 			continue
@@ -391,13 +385,9 @@ func (p *pausedPop) InitAgent(i int, rng *rand.Rand) {
 	p.publish(i, pos.X, pos.Y)
 }
 
-// StepRange implements Population (PausedAgent.Step per slot). An agent
-// that rested through the whole step skips its publish, leaving its
-// dirty bit clear — the view slot already holds the right position, so
-// the "did I move" test compares against it directly.
+// StepRange implements Population (PausedAgent.Step per slot).
 func (p *pausedPop) StepRange(lo, hi int) {
 	v, l, maxPause := p.m.cfg.V, p.m.cfg.L, p.m.maxPause
-	x, y := p.view.X, p.view.Y
 	for i := lo; i < hi; i++ {
 		pa := &p.path[i]
 		timeLeft := 1.0
@@ -426,11 +416,6 @@ func (p *pausedPop) StepRange(lo, hi int) {
 			p.travelled[i] = 0
 		}
 		np := pa.At(p.travelled[i]).Clamp(l)
-		if np.X == x[i] && np.Y == y[i] {
-			// Rested through the whole step: skip the publish so the dirty
-			// bit stays clear (see PausedAgent.Step).
-			continue
-		}
 		p.publish(i, np.X, np.Y)
 	}
 }

@@ -4,16 +4,16 @@
 // structure-of-arrays populations (mobility.BulkStepper.NewPopulation).
 //
 // The harness drives both forms in lockstep from identical per-agent RNG
-// streams and requires exact equality — positions to the last bit, dirty
-// bits, and the full hidden kinematic state exposed through
+// streams and requires exact equality — positions to the last bit and
+// the full hidden kinematic state exposed through
 // mobility.Probe (trip progress, leg caches, unit directions, pause
 // clocks, turn/way-point counters) — across a randomized matrix of
 // models, initialization modes, speeds, pause bounds and seeds, and
 // under arbitrary StepRange decompositions. A second layer runs whole
 // sim.Worlds against capability-hidden twins (the population stripped
 // away, forcing the AoS fallback) across worker counts, mid-run Reset
-// and both index-maintenance regimes, comparing trajectories and the
-// neighbor index's full CSR state.
+// and slow and fast agents, comparing trajectories and the neighbor
+// index's full CSR state.
 //
 // The package itself exports nothing; it exists so the differential
 // tests have a home outside package mobility's own unit tests and can

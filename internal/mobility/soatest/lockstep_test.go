@@ -67,12 +67,8 @@ func newLockstep(t *testing.T, model mobility.Model, n int, seed uint64) *lockst
 		n:      n,
 		agents: make([]mobility.Agent, n),
 		pop:    bs.NewPopulation(n),
-		av: mobility.View{
-			X: make([]float64, n), Y: make([]float64, n), Dirty: make([]bool, n),
-		},
-		pv: mobility.View{
-			X: make([]float64, n), Y: make([]float64, n), Dirty: make([]bool, n),
-		},
+		av:     mobility.View{X: make([]float64, n), Y: make([]float64, n)},
+		pv:     mobility.View{X: make([]float64, n), Y: make([]float64, n)},
 	}
 	if ls.pop.Len() != n {
 		t.Fatalf("population Len = %d, want %d", ls.pop.Len(), n)
@@ -93,7 +89,7 @@ func newLockstep(t *testing.T, model mobility.Model, n int, seed uint64) *lockst
 }
 
 // compare requires the two forms to be in bit-identical states: view
-// coordinates, dirty bits and full probed kinematic state per agent.
+// coordinates and full probed kinematic state per agent.
 func (ls *lockstep) compare(t *testing.T, tag string) {
 	t.Helper()
 	pp := ls.pop.(mobility.PopProber)
@@ -101,10 +97,6 @@ func (ls *lockstep) compare(t *testing.T, tag string) {
 		if ls.av.X[i] != ls.pv.X[i] || ls.av.Y[i] != ls.pv.Y[i] {
 			t.Fatalf("%s: agent %d position diverges: AoS (%v,%v) vs SoA (%v,%v)",
 				tag, i, ls.av.X[i], ls.av.Y[i], ls.pv.X[i], ls.pv.Y[i])
-		}
-		if ls.av.Dirty[i] != ls.pv.Dirty[i] {
-			t.Fatalf("%s: agent %d dirty bit diverges: AoS %v vs SoA %v",
-				tag, i, ls.av.Dirty[i], ls.pv.Dirty[i])
 		}
 		ap := ls.agents[i].(mobility.Prober).Probe()
 		sp := pp.ProbeAgent(i)
@@ -119,8 +111,6 @@ func (ls *lockstep) compare(t *testing.T, tag string) {
 // decompositions (the world steps shards and fuse-chunks, never always
 // the full range).
 func (ls *lockstep) step(splits []int) {
-	clear(ls.av.Dirty)
-	clear(ls.pv.Dirty)
 	for _, a := range ls.agents {
 		a.Step()
 	}

@@ -30,8 +30,7 @@ func aosFactory(inner sim.ModelFactory) sim.ModelFactory {
 // index — and requires bit-identical trajectories AND bit-identical
 // neighbor-index state (full CSR: ids, coordinates, bucket spans) at
 // every step. Covered across all five models, sequential and 4-worker
-// stepping, the delta-update and rebuild index regimes, and mid-run
-// Reset (pooled reuse).
+// stepping, slow and fast agents, and mid-run Reset (pooled reuse).
 func TestWorldsBitIdentical(t *testing.T) {
 	factories := []struct {
 		name    string
@@ -45,7 +44,7 @@ func TestWorldsBitIdentical(t *testing.T) {
 	}
 	regimes := []struct {
 		name    string
-		v       float64 // against R = 2.5: 0.1 → delta path, 0.8 → rebuild path
+		v       float64 // against R = 2.5: 0.1 → small per-step delta, few bucket changes; 0.8 → many
 		workers int
 	}{
 		{"delta-seq", 0.1, 0},

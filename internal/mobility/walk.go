@@ -34,9 +34,6 @@ func NewRandomWalk(cfg Config) (*RandomWalk, error) {
 // Name implements Model.
 func (m *RandomWalk) Name() string { return "random-walk" }
 
-// NeverRests implements Model: walkers move distance V every step.
-func (m *RandomWalk) NeverRests() bool { return true }
-
 // NewPopulation implements BulkStepper.
 func (m *RandomWalk) NewPopulation(n int) Population { return newWalkPop(m, n) }
 
@@ -124,9 +121,6 @@ func NewRandomDirection(cfg Config) (*RandomDirection, error) {
 
 // Name implements Model.
 func (m *RandomDirection) Name() string { return "random-direction" }
-
-// NeverRests implements Model: direction agents move distance V every step.
-func (m *RandomDirection) NeverRests() bool { return true }
 
 // NewPopulation implements BulkStepper.
 func (m *RandomDirection) NewPopulation(n int) Population { return newDirectionPop(m, n) }

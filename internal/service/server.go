@@ -1,8 +1,10 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 )
 
@@ -17,8 +19,8 @@ import (
 //	GET    /healthz             200 serving / 503 draining
 //
 // Error mapping: invalid spec -> 400, unknown id -> 404, result of an
-// unfinished job -> 409, queue full -> 429 with Retry-After, draining ->
-// 503 with Retry-After.
+// unfinished job -> 409, submit body over maxJobSpecBytes -> 413, queue
+// full -> 429 with Retry-After, draining -> 503 with Retry-After.
 type Server struct {
 	sched *Scheduler
 	mux   *http.ServeMux
@@ -65,11 +67,37 @@ type submitResponse struct {
 	Deduplicated bool `json:"deduplicated,omitempty"`
 }
 
-func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
+// maxJobSpecBytes bounds a POST /v1/jobs body. A real spec is a few
+// hundred bytes; the bound keeps one request from making the server
+// buffer or decode an arbitrarily large body.
+const maxJobSpecBytes = 1 << 20
+
+// decodeJobSpec is the submit route's decode: one JSON object with no
+// unknown fields.
+func decodeJobSpec(body []byte) (JobSpec, error) {
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	err := dec.Decode(&spec)
+	return spec, err
+}
+
+func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
+	// The whole body is read under the limit before decoding, so an
+	// oversize body is refused even when a valid spec precedes the
+	// excess, and nothing of it reaches the scheduler or the journal.
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxJobSpecBytes))
+	if err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge, "job spec exceeds the submit body limit")
+			return
+		}
+		writeError(w, http.StatusBadRequest, "reading job spec: "+err.Error())
+		return
+	}
+	spec, err := decodeJobSpec(body)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "decoding job spec: "+err.Error())
 		return
 	}

@@ -8,9 +8,9 @@ import (
 // Tiled-world property: a world with Params.Tiles set is bit-identical to
 // the flat world at every step — same agent positions AND the same full
 // neighbor-index state (starts offsets, bucket-major ids, CSR coordinate
-// streams, id -> bucket map) — across tile counts, worker counts, both
-// index maintenance regimes (delta vs rebuild, picked by V/R), and a
-// mid-run Reset. Tiling only changes how the index state is computed.
+// streams, id -> bucket map) — across tile counts, worker counts, slow and
+// fast agents, the paused model, and a mid-run Reset. Tiling only changes
+// how the index state is computed.
 
 func requireWorldsIdentical(t *testing.T, step int, got, want *World) {
 	t.Helper()
@@ -64,11 +64,11 @@ func TestTiledWorldBitIdentical(t *testing.T) {
 		base    Params
 		factory ModelFactory
 	}{
-		// V/R = 0.025: the index stays on the delta path (UpdateCells).
+		// V/R = 0.025: small per-step delta, few agents change bucket.
 		{"delta", Params{N: 2000, L: 40, R: 4, V: 0.1, Seed: 99}, nil},
-		// V/R = 0.2: every step re-runs the (tiled) counting sort.
+		// V/R = 0.2: heavy bucket traffic every step.
 		{"rebuild", Params{N: 2000, L: 40, R: 2, V: 0.4, Seed: 99}, nil},
-		// Paused model: dirty-bitmap delta path, AoS/dirty bookkeeping.
+		// Paused model: most agents rest through most steps.
 		{"paused", Params{N: 1500, L: 40, R: 4, V: 0.1, Seed: 41}, PausedMRWPFactory(3)},
 	}
 	for _, tc := range cases {

@@ -19,22 +19,18 @@
 // interface call at all, then classifies the fresh positions into grid
 // buckets chunk-by-chunk while they are still cache-hot (the fused
 // advance→classify pass, internal/kernel.Buckets) and feeds the
-// precomputed bucket ids straight to the neighbor index
-// (spatialindex.Index.UpdateCells / RebuildXYCells) — no second
-// per-agent sweep. Models without the capability fall back to per-agent
-// values bound to their slice slot (mobility.SlotWriter), one interface
-// call per agent per step; both forms produce bit-identical trajectories
+// precomputed bucket ids straight to the neighbor index's counting sort
+// (spatialindex.Index.RebuildXYCells) — no second per-agent sweep.
+// Models without the capability fall back to per-agent values bound to
+// their slice slot (mobility.SlotWriter), one interface call per agent
+// per step; both forms produce bit-identical trajectories
 // (see internal/mobility/soatest). X and Y expose the live slices (valid
 // snapshots only until the next Step/Reset); Positions allocates a point
 // snapshot for cold paths (traces, examples) that remains valid forever.
 //
-// The slot writes double as dirty-bit collection: an agent whose publish
-// leaves its coordinates unchanged (a paused way-point agent) keeps its
-// dirty bit clear, and Step hands the bitmap to the neighbor index's
-// delta-update path (spatialindex.Index.Update), which skips clean agents
-// and patches only the buckets that actually changed — falling back to the
-// full counting-sort rebuild when too many agents moved bucket. The
-// resulting index state is bit-identical to a fresh rebuild either way.
+// Every step ends with a full rebuild of the neighbor index, whatever the
+// model or speed: one index path, which is also the bit-identity
+// reference every consumer is tested against.
 //
 // # Reset and world pooling
 //
@@ -52,7 +48,6 @@ import (
 	"math/rand/v2"
 	"sync"
 
-	"manhattanflood/internal/faultinject"
 	"manhattanflood/internal/geom"
 	"manhattanflood/internal/graph"
 	"manhattanflood/internal/mobility"
@@ -155,33 +150,19 @@ func RandomDirectionFactory() ModelFactory {
 // seedStride separates per-agent PCG streams split from the world seed.
 const seedStride = 0x9e3779b97f4a7c15
 
-// deltaUpdateMaxMoverFraction is the predicted per-step bucket-mover
-// fraction below which Step maintains the neighbor index incrementally
-// (spatialindex.Index.Update) instead of re-running the counting sort. An
-// agent moves at most V per step against a bucket side of R, so the mover
-// fraction of the moving population is about V/R; the delta patch and the
-// full rebuild were measured to cross near 5% movers on the reference
-// machine (see BENCH_3.json: index_update_10k vs index_rebuild_10k and
-// the Update10k{Slow,Mid,Hot} benchmarks in internal/spatialindex).
-// Either path yields bit-identical index state; this constant only picks
-// the cheaper one.
-const deltaUpdateMaxMoverFraction = 0.05
-
 // World is a population of agents stepped in lockstep.
 type World struct {
-	params     Params
-	model      mobility.Model
-	agents     []mobility.Agent    // AoS agent values (nil when stepping a population)
-	pop        mobility.Population // SoA population (nil when stepping AoS agents)
-	cells      []int32             // fused classify output: per-agent bucket ids (population mode)
-	rngs       []*rand.Rand
-	pcgs       []*rand.PCG
-	x, y       []float64 // SoA positions, indexed by agent id
-	dirty      []bool    // agents whose position changed this step (resting models only)
-	bound      bool      // every agent writes its slot itself (population or SlotWriter)
-	neverRests bool      // model guarantees every agent moves every step
-	index      *spatialindex.Index
-	step       int
+	params Params
+	model  mobility.Model
+	agents []mobility.Agent    // AoS agent values (nil when stepping a population)
+	pop    mobility.Population // SoA population (nil when stepping AoS agents)
+	cells  []int32             // fused classify output: per-agent bucket ids (population mode)
+	rngs   []*rand.Rand
+	pcgs   []*rand.PCG
+	x, y   []float64 // SoA positions, indexed by agent id
+	bound  bool      // every agent writes its slot itself (population or SlotWriter)
+	index  *spatialindex.Index
+	step   int
 	// catch forwards panics out of the parallel stepping workers onto the
 	// goroutine that called Step, so a poisoned agent fails its trial with
 	// a diagnosable report instead of crashing the process. A field so the
@@ -223,25 +204,16 @@ func NewWorld(p Params, factory ModelFactory) (*World, error) {
 		}
 	}
 	w := &World{
-		params:     p,
-		model:      model,
-		rngs:       make([]*rand.Rand, p.N),
-		pcgs:       make([]*rand.PCG, p.N),
-		x:          make([]float64, p.N),
-		y:          make([]float64, p.N),
-		index:      ix,
-		bound:      true,
-		neverRests: model.NeverRests(),
+		params: p,
+		model:  model,
+		rngs:   make([]*rand.Rand, p.N),
+		pcgs:   make([]*rand.PCG, p.N),
+		x:      make([]float64, p.N),
+		y:      make([]float64, p.N),
+		index:  ix,
+		bound:  true,
 	}
-	if !w.neverRests {
-		// A model that can rest needs the per-agent dirty bitmap so resting
-		// agents are skipped by the index's delta update. When every agent
-		// moves every step the bitmap carries no information, and leaving
-		// View.Dirty nil erases its bookkeeping (the clear, the per-agent
-		// store, and the sampling scan in syncIndex) from the step entirely.
-		w.dirty = make([]bool, p.N)
-	}
-	view := mobility.View{X: w.x, Y: w.y, Dirty: w.dirty}
+	view := mobility.View{X: w.x, Y: w.y}
 	if bs, ok := model.(mobility.BulkStepper); ok {
 		// Population (SoA) mode: all agent state lives in flat slices,
 		// positions canonically in the view; no per-agent values exist.
@@ -298,7 +270,7 @@ func (w *World) Reset(seed uint64) {
 		return
 	}
 	rm, _ := w.model.(mobility.ReinitModel)
-	view := mobility.View{X: w.x, Y: w.y, Dirty: w.dirty}
+	view := mobility.View{X: w.x, Y: w.y}
 	for i := range w.agents {
 		w.pcgs[i].Seed(seed, uint64(i)+seedStride)
 		if rm != nil && rm.ReinitAgent(w.agents[i], w.rngs[i]) {
@@ -337,23 +309,12 @@ func (w *World) N() int { return len(w.x) }
 // Time returns the number of steps taken so far.
 func (w *World) Time() int { return w.step }
 
-// Step advances every agent by one time unit and re-synchronizes the
-// neighbor index. The index is maintained incrementally: agents move at
-// most V per step, so most keep their grid bucket, and the world feeds the
-// index's delta-update path the per-agent dirty bits collected by the
-// mobility layer during the move (spatialindex.Index.Update; bit-identical
-// to a full rebuild, with an automatic counting-sort fallback when too
-// many agents changed bucket). Models that report NeverRests — every agent
-// moves every step, so every bit would be set — skip the bitmap entirely:
-// no clear, no per-agent store, no sampling scan; the index path is picked
-// on V/R alone and the resulting state is bit-identical either way. With
-// Params.Workers > 1 the agent moves run on that many goroutines; the
-// result is bit-identical to sequential stepping because agents are fully
-// independent and each writes only its own position slot and dirty bit.
+// Step advances every agent by one time unit and rebuilds the neighbor
+// index from the fresh positions. With Params.Workers > 1 the agent moves
+// run on that many goroutines; the result is bit-identical to sequential
+// stepping because agents are fully independent and each writes only its
+// own position slot.
 func (w *World) Step() {
-	if w.bound && !w.neverRests {
-		clear(w.dirty)
-	}
 	switch {
 	case w.pop != nil:
 		w.stepPop()
@@ -396,17 +357,12 @@ func (w *World) SetStepHook(h func()) { w.stepHook = h }
 // through memory between the advance and the classify.
 const fuseChunk = 1024
 
-// stepPop advances the population and runs the fused classify pass.
-// Fusing applies exactly when every agent republishes every step
-// (NeverRests): then the whole cells buffer is fresh and syncIndex feeds
-// it to the index's precomputed-cells paths. A resting model leaves most
-// positions untouched, so classifying everyone would be wasted work —
-// its syncIndex keeps the dirty-bitmap delta path instead.
+// stepPop advances the population and runs the fused classify pass, so
+// the whole cells buffer is fresh when syncIndex hands it to the index.
 func (w *World) stepPop() {
 	n := len(w.x)
-	fuse := w.neverRests
 	if w.params.Workers > 1 && n >= 2*w.params.Workers {
-		w.stepPopParallel(fuse)
+		w.stepPopParallel()
 		return
 	}
 	for lo := 0; lo < n; lo += fuseChunk {
@@ -415,13 +371,11 @@ func (w *World) stepPop() {
 			hi = n
 		}
 		w.pop.StepRange(lo, hi)
-		if fuse {
-			w.index.ClassifyInto(w.cells[lo:hi], w.x[lo:hi], w.y[lo:hi])
-		}
+		w.index.ClassifyInto(w.cells[lo:hi], w.x[lo:hi], w.y[lo:hi])
 	}
 }
 
-func (w *World) stepPopParallel(fuse bool) {
+func (w *World) stepPopParallel() {
 	workers := w.params.Workers
 	n := len(w.x)
 	chunk := (n + workers - 1) / workers
@@ -444,11 +398,9 @@ func (w *World) stepPopParallel(fuse bool) {
 					chi = hi
 				}
 				w.pop.StepRange(clo, chi)
-				if fuse {
-					// Shards own disjoint index ranges, so the classify
-					// writes race-free into the shared cells buffer.
-					w.index.ClassifyInto(w.cells[clo:chi], w.x[clo:chi], w.y[clo:chi])
-				}
+				// Shards own disjoint index ranges, so the classify
+				// writes race-free into the shared cells buffer.
+				w.index.ClassifyInto(w.cells[clo:chi], w.x[clo:chi], w.y[clo:chi])
 			}
 		}(sh, start, end)
 	}
@@ -456,69 +408,15 @@ func (w *World) stepPopParallel(fuse bool) {
 	w.catch.Rethrow()
 }
 
-// syncIndex re-synchronizes the neighbor index with the stepped positions,
-// choosing between the delta patch and the full counting-sort rebuild by
-// predicted mover fraction (movers ~= moving agents * V/R). Both paths
-// produce bit-identical index state — which is exactly what the
-// fault-injection hook below exercises: under `-tags faultinject` a test
-// can force any step onto the full rebuild (the delta path's bail
-// destination) and assert results do not change. Compiled out otherwise.
+// syncIndex rebuilds the neighbor index from the stepped positions. A
+// population world hands over the bucket ids its fused step already
+// computed; AoS worlds let the index classify.
 func (w *World) syncIndex() {
-	if faultinject.Active && faultinject.FireIndexSyncBail() {
-		w.index.RebuildXY(w.x, w.y)
+	if w.pop != nil {
+		w.index.RebuildXYCells(w.x, w.y, w.cells)
 		return
 	}
-	vOverR := w.params.V / w.params.R
-	if w.pop != nil && w.neverRests {
-		// Fused population step: every bucket id is already in cells,
-		// computed chunk-by-chunk while the coordinates were cache-hot.
-		// Both consumers are bit-identical to their classify-inside
-		// twins; V/R alone picks the cheaper one, as in the plain paths.
-		if vOverR <= deltaUpdateMaxMoverFraction {
-			w.index.UpdateCells(w.x, w.y, w.cells, nil)
-		} else {
-			w.index.RebuildXYCells(w.x, w.y, w.cells)
-		}
-		return
-	}
-	if !w.bound || w.neverRests {
-		// Third-party agents bypass the view, and never-resting models set
-		// every bit: either way there are no dirty bits worth exploiting,
-		// so pick the path on V/R alone.
-		if vOverR <= deltaUpdateMaxMoverFraction {
-			w.index.Update(w.x, w.y, nil)
-		} else {
-			w.index.RebuildXY(w.x, w.y)
-		}
-		return
-	}
-	if vOverR <= deltaUpdateMaxMoverFraction {
-		// Slow agents: the delta patch wins even if everyone moved. The
-		// dirty bitmap (exact, since every position write flowed through a
-		// bound slot) lets the index skip resting agents entirely.
-		w.index.Update(w.x, w.y, w.dirty)
-		return
-	}
-	// Fast agents: only worth patching when enough of the population sat
-	// out the step (way-point pauses). Estimate the moving fraction from a
-	// strided sample of the dirty bitmap — the decision has a 2x margin
-	// either way, so a rough estimate suffices and the common
-	// everyone-moves case does not pay a full O(n) scan.
-	n := len(w.dirty)
-	const stride = 16
-	moving := 0
-	sampled := 0
-	for i := 0; i < n; i += stride {
-		sampled++
-		if w.dirty[i] {
-			moving++
-		}
-	}
-	if float64(moving)*vOverR <= deltaUpdateMaxMoverFraction*float64(sampled) {
-		w.index.Update(w.x, w.y, w.dirty)
-	} else {
-		w.index.RebuildXY(w.x, w.y)
-	}
+	w.index.RebuildXY(w.x, w.y)
 }
 
 func (w *World) stepParallel() {

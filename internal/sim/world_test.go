@@ -208,7 +208,7 @@ func TestNearestAgent(t *testing.T) {
 	}
 	// A model without the BulkStepper capability falls back to AoS agent
 	// values, which the Agent accessor then exposes.
-	aos, _ := NewWorld(Params{N: 10, L: 10, R: 1, V: 0.1, Seed: 17}, restingFactory(MRWPFactory()))
+	aos, _ := NewWorld(Params{N: 10, L: 10, R: 1, V: 0.1, Seed: 17}, aosFactory(MRWPFactory()))
 	if aos.Agent(0) == nil {
 		t.Error("Agent accessor returned nil for an AoS world")
 	}

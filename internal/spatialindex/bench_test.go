@@ -37,68 +37,3 @@ func BenchmarkRebuildXY10k(b *testing.B) { benchRebuildXY(b, 10000, 100) }
 
 // BenchmarkRebuildXY20k is the flood_step_20k-scale rebuild.
 func BenchmarkRebuildXY20k(b *testing.B) { benchRebuildXY(b, 20000, 141.42) }
-
-// benchUpdate drives the delta path with synthetic per-step displacements
-// of at most maxStep per coordinate (radius 4, as in the rebuild
-// benchmarks); maxStep controls the mover fraction. The displacement
-// trajectory is precomputed into a ring of frames and replayed in zigzag
-// order (forward then backward, so every transition is one step's
-// displacement) — the timed loop contains nothing but Update calls.
-func benchUpdate(b *testing.B, n int, side, maxStep float64) {
-	b.Helper()
-	rng := rand.New(rand.NewPCG(2, 0xde17a))
-	// A small ring keeps the frames cache-resident, matching the real
-	// simulator, where the one live coordinate array is hot from the
-	// mobility pass that just rewrote it.
-	const frames = 8
-	fx := make([][]float64, frames)
-	fy := make([][]float64, frames)
-	fx[0], fy[0] = benchXY(n, side, 1)
-	for f := 1; f < frames; f++ {
-		fx[f] = make([]float64, n)
-		fy[f] = make([]float64, n)
-		for i := 0; i < n; i++ {
-			fx[f][i] = clamp01(fx[f-1][i]+(rng.Float64()*2-1)*maxStep, side)
-			fy[f][i] = clamp01(fy[f-1][i]+(rng.Float64()*2-1)*maxStep, side)
-		}
-	}
-	ix, err := New(side, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ix.RebuildXY(fx[0], fy[0])
-	zig := func(i int) int { // 0 1 .. frames-1 frames-2 .. 1 0 1 ..
-		p := i % (2*frames - 2)
-		if p >= frames {
-			p = 2*frames - 2 - p
-		}
-		return p
-	}
-	for warm := 1; warm <= 8; warm++ { // warm the delta scratch capacities
-		f := zig(warm)
-		ix.Update(fx[f], fy[f], nil)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f := zig(i + 9)
-		ix.Update(fx[f], fy[f], nil)
-	}
-}
-
-// BenchmarkUpdate10kNone measures the delta floor: every coordinate
-// changes but (almost) nobody changes bucket, so the update is the fused
-// copy/compare pass plus the CSR coordinate refill.
-func BenchmarkUpdate10kNone(b *testing.B) { benchUpdate(b, 10000, 100, 0.0005) }
-
-// BenchmarkUpdate10kSlow is the delta update at the E03-default velocity
-// scale (displacement 0.1 against bucket side 4: ~2.5% movers/step).
-func BenchmarkUpdate10kSlow(b *testing.B) { benchUpdate(b, 10000, 100, 0.1) }
-
-// BenchmarkUpdate10kMid is the world_step operating point (displacement
-// 0.3: ~7.5% movers/step).
-func BenchmarkUpdate10kMid(b *testing.B) { benchUpdate(b, 10000, 100, 0.3) }
-
-// BenchmarkUpdate10kHot approaches the fallback crossover (displacement
-// 2.0: ~50% movers/step).
-func BenchmarkUpdate10kHot(b *testing.B) { benchUpdate(b, 10000, 100, 2.0) }

@@ -5,11 +5,10 @@ import (
 	"testing"
 )
 
-// The precomputed-cells ingestion paths (ClassifyInto feeding
-// RebuildXYCells / UpdateCells) must leave the index bit-identical to
-// the classify-inside paths (RebuildXY / Update) on the same
-// coordinates, across randomized mobility-like steps in both the delta
-// and the fallback displacement regimes.
+// The precomputed-cells ingestion path (ClassifyInto feeding
+// RebuildXYCells) must leave the index bit-identical to the
+// classify-inside path (RebuildXY) on the same coordinates, across
+// randomized mobility-like steps at small and large displacements.
 func TestCellsPathsMatchPlain(t *testing.T) {
 	for _, maxStep := range []float64{0.05, 1.7, 40.0} {
 		rng := rand.New(rand.NewPCG(21, uint64(maxStep*1000)))
@@ -29,72 +28,13 @@ func TestCellsPathsMatchPlain(t *testing.T) {
 			}
 			return ix
 		}
-		ref, rebC, upd, updC := mk(), mk(), mk(), mk()
-		upd.RebuildXY(xs, ys)
-		updC.RebuildXY(xs, ys)
+		ref, rebC := mk(), mk()
 		for step := 0; step < 40; step++ {
 			perturb(rng, xs, ys, side, maxStep)
 			ref.RebuildXY(xs, ys)
 			ref.ClassifyInto(cells, xs, ys)
 			rebC.RebuildXYCells(xs, ys, cells)
 			requireIdentical(t, step, rebC, ref)
-			upd.Update(xs, ys, nil)
-			requireIdentical(t, step, upd, ref)
-			updC.UpdateCells(xs, ys, cells, nil)
-			requireIdentical(t, step, updC, ref)
-		}
-	}
-}
-
-// UpdateCells with a dirty bitmap must match Update with the same bitmap
-// bit for bit — including the exact per-bucket change summary.
-func TestUpdateCellsDirtyFlags(t *testing.T) {
-	rng := rand.New(rand.NewPCG(22, 99))
-	const side, radius = 30.0, 3.0
-	const n = 400
-	xs := make([]float64, n)
-	ys := make([]float64, n)
-	cells := make([]int32, n)
-	dirty := make([]bool, n)
-	for i := range xs {
-		xs[i] = rng.Float64() * side
-		ys[i] = rng.Float64() * side
-	}
-	mk := func() *Index {
-		ix, err := New(side, radius)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ix
-	}
-	upd, updC, ref := mk(), mk(), mk()
-	upd.RebuildXY(xs, ys)
-	updC.RebuildXY(xs, ys)
-	for step := 0; step < 40; step++ {
-		for i := range dirty {
-			dirty[i] = rng.Float64() < 0.7
-			if dirty[i] {
-				xs[i] = clamp01(xs[i]+(rng.Float64()*2-1)*1.2, side)
-				ys[i] = clamp01(ys[i]+(rng.Float64()*2-1)*1.2, side)
-			}
-		}
-		upd.Update(xs, ys, dirty)
-		upd.ClassifyInto(cells, xs, ys)
-		updC.UpdateCells(xs, ys, cells, dirty)
-		ref.RebuildXY(xs, ys)
-		requireIdentical(t, step, upd, ref)
-		requireIdentical(t, step, updC, ref)
-		gm, ge := upd.ChangedBuckets()
-		cm, ce := updC.ChangedBuckets()
-		if ge != ce {
-			t.Fatalf("step %d: change summary exactness %v != %v", step, ce, ge)
-		}
-		if ge {
-			for c := range gm {
-				if gm[c] != cm[c] {
-					t.Fatalf("step %d: changed[%d] = %v (cells path %v)", step, c, gm[c], cm[c])
-				}
-			}
 		}
 	}
 }

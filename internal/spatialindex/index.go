@@ -36,21 +36,14 @@
 // valid when the caller mutates or reuses its slices afterwards (sim.World
 // rewrites its X/Y slices in place every step).
 //
-// # Delta maintenance
+// # One maintenance path
 //
-// Between consecutive simulation steps most points keep their bucket
-// (agents move at most V per step against a bucket side of R), so a full
-// counting sort re-derives mostly unchanged structure. Update (update.go)
-// is the incremental path: it classifies each point as moved-in-place
-// (coordinates refreshed, CSR position untouched) or mover (bucket
-// changed), patches starts from the per-bucket occupancy deltas, and
-// merges the movers into the ids and cx/cy arrays in one sequential
-// sweep. Unlike Rebuild it also retains the caller's coordinate slices as
-// the id-indexed view instead of copying them. The post-state is
-// bit-identical to a full RebuildXY, and the index falls back to the
-// counting sort automatically when the moved fraction crosses
-// UpdateFallbackFraction. sim.World.Step drives this path, feeding it
-// per-agent dirty bits from the mobility layer.
+// The index is re-synchronized by a full counting sort every step, even
+// though most points keep their bucket between consecutive steps: an
+// incremental patch that merges only the bucket movers measured no faster
+// at 10k points and slower end to end, because its scattered merges and
+// gathers defeat the sort's streaming access pattern. The rebuild is also
+// the bit-identity reference, so each index state has one way to reach it.
 //
 // An intentionally naive O(n^2) reference implementation (Brute) backs the
 // property tests.
@@ -66,47 +59,24 @@ import (
 )
 
 // Index is a uniform-grid fixed-radius neighbor index in CSR form.
-// Re-synchronize it once per simulation step — with RebuildXY (or Rebuild)
-// for a full counting sort, or Update for the delta patch; queries are
-// read-only and may run concurrently after the rebuild or update
-// completes.
+// Re-synchronize it once per simulation step with RebuildXY,
+// RebuildXYCells or Rebuild; queries are read-only and may run
+// concurrently after the rebuild completes.
 type Index struct {
 	side   float64
 	radius float64
 	invR   float64
 	cols   int
-	starts []int32 // bucket -> offset into ids; len cols*cols + 1
-	ids    []int32 // point ids in bucket-major order, ascending per bucket
-	cellOf []int32 // point id -> bucket
-	cursor []int32 // counting-sort scratch
-	// xs/ys are the current id-indexed coordinate view: the owned copies
-	// (ownXs/ownYs) after a Rebuild, or the caller's retained slices after
-	// an Update.
-	xs, ys       []float64
-	ownXs, ownYs []float64 // owned copy buffers for the Rebuild path
-	cx, cy       []float64 // bucket-major coordinates, parallel to ids
+	starts []int32   // bucket -> offset into ids; len cols*cols + 1
+	ids    []int32   // point ids in bucket-major order, ascending per bucket
+	cellOf []int32   // point id -> bucket
+	cursor []int32   // counting-sort scratch
+	xs, ys []float64 // id-indexed coordinate copies
+	cx, cy []float64 // bucket-major coordinates, parallel to ids
 
-	// Delta-update scratch (see Update in update.go).
-	idsAlt       []int32 // emit-sweep target, ping-ponged with ids
-	startsAlt    []int32 // new offsets, ping-ponged with starts
-	slab         []int32 // one-memclr backing for delta/ocount/mstarts
-	mstarts      []int32 // movers-per-destination-bucket offsets
-	ocount       []int32 // per-bucket departure counts this update
-	delta        []int32 // per-bucket occupancy change this update
-	movers       []int32 // ids whose bucket changed, ascending
-	moversByCell []int32 // movers grouped by destination, ascending ids
-	moved        []bool  // id -> bucket changed this update (reset per update)
-	cellScratch  []int32 // batched-classify target for nil-dirty updates
-
-	// Per-bucket change summary of the last re-synchronization (see
-	// ChangedBuckets). Exact only after an Update driven by a dirty bitmap;
-	// rebuilds, nil-dirty updates and fallback bails leave it inexact.
-	changed     []bool
-	changeExact bool
-
-	// tiling, when non-nil, reroutes the counting sort and the delta emit
-	// through tile-parallel passes (see EnableTiling in tiling.go). The
-	// resulting index state is bit-identical either way.
+	// tiling, when non-nil, reroutes the counting sort through
+	// tile-parallel passes (see EnableTiling in tiling.go). The resulting
+	// index state is bit-identical either way.
 	tiling *Tiling
 }
 
@@ -153,23 +123,18 @@ func (ix *Index) Cols() int { return ix.cols }
 func (ix *Index) NumCells() int { return ix.cols * ix.cols }
 
 // ensure sizes the per-point arrays for n points without allocating in the
-// steady state, and installs the owned coordinate buffers as the current
-// view (the Rebuild path copies into them).
+// steady state.
 func (ix *Index) ensure(n int) {
-	if cap(ix.ownXs) < n {
-		ix.ownXs = make([]float64, n)
-		ix.ownYs = make([]float64, n)
-	}
-	ix.ownXs = ix.ownXs[:n]
-	ix.ownYs = ix.ownYs[:n]
-	ix.xs = ix.ownXs
-	ix.ys = ix.ownYs
-	if cap(ix.cellOf) < n {
+	if cap(ix.ids) < n {
+		ix.xs = make([]float64, n)
+		ix.ys = make([]float64, n)
 		ix.cellOf = make([]int32, n)
 		ix.ids = make([]int32, n)
 		ix.cx = make([]float64, n)
 		ix.cy = make([]float64, n)
 	}
+	ix.xs = ix.xs[:n]
+	ix.ys = ix.ys[:n]
 	ix.cellOf = ix.cellOf[:n]
 	ix.ids = ix.ids[:n]
 	ix.cx = ix.cx[:n]
@@ -191,15 +156,15 @@ func (ix *Index) RebuildXY(xs, ys []float64) {
 	ix.ensure(n)
 	copy(ix.xs, xs)
 	copy(ix.ys, ys)
-	ix.rebuildOwned()
+	ix.rebuild()
 }
 
 // ClassifyInto fills cells[i] with the bucket id of (xs[i], ys[i]) using
 // the batched kernel classify — the same mapping every other path uses.
 // cells must have len(xs) entries. This is the fused advance→classify
 // hook: sim.World classifies positions straight out of the mobility
-// step's flat slices and hands the precomputed ids to RebuildXYCells or
-// UpdateCells, so the index never re-derives them point by point.
+// step's flat slices and hands the precomputed ids to RebuildXYCells, so
+// the index never re-derives them point by point.
 func (ix *Index) ClassifyInto(cells []int32, xs, ys []float64) {
 	if len(cells) != len(xs) {
 		panic(panicsafe.Invariant("spatialindex", "cells disagree with points: len(cells)=%d len(xs)=%d", len(cells), len(xs)))
@@ -222,7 +187,6 @@ func (ix *Index) RebuildXYCells(xs, ys []float64, cells []int32) {
 	ix.ensure(n)
 	copy(ix.xs, xs)
 	copy(ix.ys, ys)
-	ix.changeExact = false
 	if tl := ix.tiling; tl != nil {
 		copy(ix.cellOf, cells)
 		tl.rebuild()
@@ -248,30 +212,13 @@ func (ix *Index) Rebuild(pts []geom.Point) {
 		ix.xs[i] = p.X
 		ix.ys[i] = p.Y
 	}
-	ix.rebuildOwned()
+	ix.rebuild()
 }
 
-// ChangedBuckets returns the per-bucket change summary of the last
-// re-synchronization and whether it is exact. When exact is true, marks[c]
-// is set iff some point whose position changed during the last Update sat
-// in bucket c before or after the move — equivalently, a bucket with a
-// clear mark holds exactly the points it held before the update, at
-// exactly the coordinates the index already published for them. Consumers
-// (the flooding sweep) use the marks to skip buckets whose whole 3x3
-// neighborhood is unchanged. When exact is false (full rebuilds, updates
-// without a dirty bitmap, fallback bails, population changes) every bucket
-// must be treated as changed; marks may be nil or stale and must not be
-// read. The slice is valid until the next rebuild or update.
-func (ix *Index) ChangedBuckets() (marks []bool, exact bool) {
-	return ix.changed, ix.changeExact
-}
-
-// rebuildOwned runs the counting sort over the current id-indexed view
-// (the owned copies, or slices retained by Update's fallback path). The
-// classify pass is one batched kernel call straight into cellOf; the
+// rebuild runs the counting sort over the id-indexed coordinate copies.
+// The classify pass is one batched kernel call straight into cellOf; the
 // count pass then reads the ids back as a sequential int32 stream.
-func (ix *Index) rebuildOwned() {
-	ix.changeExact = false
+func (ix *Index) rebuild() {
 	ix.ClassifyInto(ix.cellOf, ix.xs, ix.ys)
 	if tl := ix.tiling; tl != nil {
 		tl.rebuild()
@@ -317,12 +264,11 @@ func (ix *Index) finishRebuild() {
 }
 
 // Point returns the indexed position of point id (valid until the next
-// rebuild or update).
+// rebuild).
 func (ix *Index) Point(id int) geom.Point { return geom.Point{X: ix.xs[id], Y: ix.ys[id]} }
 
 // XS returns the index's id-ordered X-coordinate view. The slice is
-// read-only and valid until the next rebuild or update; after an Update it
-// aliases the caller's coordinate slice rather than a copy.
+// read-only and valid until the next rebuild.
 func (ix *Index) XS() []float64 { return ix.xs }
 
 // YS returns the index's id-ordered Y-coordinate view.
@@ -341,10 +287,8 @@ func (ix *Index) Points() []geom.Point {
 // CSR returns the raw bucket-major arrays: ids plus the parallel
 // coordinate copies (xs[k], ys[k] belong to point ids[k]). Combined with
 // RowSpanBounds this is the zero-overhead fast path of the flooding sweep.
-// All three slices are read-only and valid only until the next rebuild or
-// update — Update ping-pongs the ids array and rewrites the coordinate
-// streams in place, so a held slice goes stale (or silently inconsistent)
-// the moment the index is re-synchronized.
+// All three slices are read-only and valid only until the next rebuild,
+// which rewrites them in place.
 func (ix *Index) CSR() (ids []int32, xs, ys []float64) { return ix.ids, ix.cx, ix.cy }
 
 // Cell returns the bucket holding point id.

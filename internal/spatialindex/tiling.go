@@ -28,9 +28,7 @@ import (
 // only its own members through only its own buckets' cursors (~NumCells/K^2
 // entries, a few KiB) into its own CSR spans (~n/K^2 ids). The per-tile
 // working set is cache-resident again, and tiles are independent, so the
-// sort also parallelizes across the worker pool. The delta path keeps its
-// sequential classify-compare scan (two streaming reads) but shards it
-// over workers and emits the patched CSR tile-parallel.
+// sort also parallelizes across the worker pool.
 //
 // # Ownership handoff and ghost spans
 //
@@ -67,7 +65,6 @@ type Tiling struct {
 	tileRecs     []tileRec
 	shardCounts  [][]int32 // per partition shard: per-tile member counts
 	shardBuckets [][]int32 // per shard: per-bucket occupancy counts
-	shardMovers  [][]int32 // per shard: movers found by the parallel compare scan
 	lastShards   int       // shard count of the latest partition pass
 
 	// Pass arguments and bodies for parallelRanges. The bodies are built
@@ -78,13 +75,9 @@ type Tiling struct {
 	// like the flat path's.
 	pcells    []int32
 	pxs, pys  []float64
-	pmby      []int32
 	countFn   func(shard, lo, hi int)
 	scatterFn func(shard, lo, hi int)
 	tilesFn   func(shard, lo, hi int)
-	compareFn func(shard, lo, hi int)
-	emitFn    func(shard, lo, hi int)
-	refillFn  func(shard, lo, hi int)
 
 	catch panicsafe.Catcher
 }
@@ -98,8 +91,8 @@ type tileRec struct {
 }
 
 // EnableTiling attaches a K x K tiling to the index: from the next
-// rebuild or update on, the counting sort and the delta emit run as
-// tile-parallel passes on up to `workers` goroutines (workers <= 1 keeps
+// rebuild on, the counting sort runs as tile-parallel passes on up to
+// `workers` goroutines (workers <= 1 keeps
 // every pass on the calling goroutine — the cache-locality win of the
 // two-level sort applies regardless). K is clamped to the bucket grid
 // side, so K = 1 is always legal and degenerates to the flat algorithm's
@@ -139,9 +132,6 @@ func (ix *Index) EnableTiling(k, workers int) (*Tiling, error) {
 	tl.countFn = tl.countRange
 	tl.scatterFn = tl.scatterRange
 	tl.tilesFn = tl.tileRange
-	tl.compareFn = tl.compareRange
-	tl.emitFn = tl.emitRange
-	tl.refillFn = tl.refillRange
 	ix.tiling = tl
 	return tl, nil
 }
@@ -368,88 +358,5 @@ func (tl *Tiling) tileRange(_, lo, hi int) {
 			cx[p] = r.x
 			cy[p] = r.y
 		}
-	}
-}
-
-// compareScan is the tiled delta path's parallel classify-compare: shards
-// scan cells against the stored classification and collect the ids whose
-// bucket changed into per-shard lists, which are concatenated onto dst in
-// shard order (shards are ascending id ranges, so the merged mover list
-// is ascending). The caller replays the per-bucket bookkeeping over just
-// the movers. The scan itself is two streaming reads per point — the pass
-// the flat path runs sequentially fused with its bookkeeping.
-func (tl *Tiling) compareScan(cells, cellOf, dst []int32) []int32 {
-	n := len(cells)
-	nsh := tl.nshards(n)
-	for len(tl.shardMovers) < nsh {
-		tl.shardMovers = append(tl.shardMovers, nil)
-	}
-	for s := 0; s < nsh; s++ {
-		tl.shardMovers[s] = tl.shardMovers[s][:0]
-	}
-	tl.pcells, tl.pmby = cells, cellOf
-	tl.parallelRanges(n, tl.compareFn)
-	tl.pcells, tl.pmby = nil, nil
-	for s := 0; s < nsh; s++ {
-		dst = append(dst, tl.shardMovers[s]...)
-	}
-	return dst
-}
-
-// compareRange is compareScan's classify-compare over one shard
-// (pcells = fresh classification, pmby = stored classification).
-func (tl *Tiling) compareRange(shard, lo, hi int) {
-	cells, cellOf := tl.pcells, tl.pmby
-	out := tl.shardMovers[shard]
-	for i := lo; i < hi; i++ {
-		if cells[i] != cellOf[i] {
-			out = append(out, int32(i))
-		}
-	}
-	tl.shardMovers[shard] = out
-}
-
-// emitTiled runs the delta update's emit sweep tile-parallel: each tile
-// emits its buckets' patched spans (ids plus coordinates) into the new
-// CSR arrays at offsets fixed by the already-computed newStarts, one
-// contiguous run per bucket row. Writes are tile-disjoint, so the result
-// is bit-identical to the sequential bucket sweep.
-func (tl *Tiling) emitTiled(xs, ys []float64, mby []int32) {
-	tl.pxs, tl.pys, tl.pmby = xs, ys, mby
-	tl.parallelRanges(tl.NumTiles(), tl.emitFn)
-	tl.pxs, tl.pys, tl.pmby = nil, nil, nil
-}
-
-// emitRange emits the patched spans of tiles [lo, hi) for emitTiled.
-func (tl *Tiling) emitRange(_, lo, hi int) {
-	ix := tl.ix
-	cols := ix.cols
-	xs, ys, mby := tl.pxs, tl.pys, tl.pmby
-	for t := lo; t < hi; t++ {
-		x0, x1, y0, y1 := tl.TileBounds(t)
-		for by := y0; by <= y1; by++ {
-			base := by * cols
-			ix.emitBuckets(base+x0, base+x1+1, xs, ys, mby)
-		}
-	}
-}
-
-// refillTiled is the tiled twin of refillCSR (no movers: refresh only the
-// bucket-major coordinate streams), sharded over CSR ranges.
-func (tl *Tiling) refillTiled() {
-	tl.parallelRanges(len(tl.ix.ids), tl.refillFn)
-}
-
-// refillRange refreshes the coordinate streams for CSR range [lo, hi).
-func (tl *Tiling) refillRange(_, lo, hi int) {
-	ix := tl.ix
-	xs, ys := ix.xs, ix.ys
-	ids := ix.ids
-	cx := ix.cx[:len(ids)]
-	cy := ix.cy[:len(ids)]
-	for k := lo; k < hi; k++ {
-		id := ids[k]
-		cx[k] = xs[id]
-		cy[k] = ys[id]
 	}
 }

@@ -7,10 +7,10 @@ import (
 )
 
 // Tiling property: a tiled index is bit-identical to a flat one after any
-// sequence of rebuilds and updates — same starts, same bucket-major ids,
-// same CSR coordinate streams — at every K and worker count. The tests
-// below drive flat/tiled pairs through the same inputs and compare with
-// requireIdentical (the same oracle the delta-update tests use).
+// sequence of rebuilds — same starts, same bucket-major ids, same CSR
+// coordinate streams — at every K and worker count. The tests below drive
+// flat/tiled pairs through the same inputs and compare with
+// requireIdentical.
 
 func newTiledPair(t *testing.T, side, radius float64, k, workers int) (flat, tiled *Index) {
 	t.Helper()
@@ -73,38 +73,17 @@ func TestTiledRebuildMatchesFlat(t *testing.T) {
 	}
 }
 
-func TestTiledUpdateMatchesFlat(t *testing.T) {
-	const side, radius = 10.0, 1.0
-	const n = 800
-	for _, tc := range tilingGrid {
-		// maxStep 0.02 keeps movers rare (delta regime); 0.6 forces heavy
-		// mover traffic; 9.0 teleports enough points to cross the
-		// UpdateFallbackFraction bail into the tiled rebuild.
-		for _, maxStep := range []float64{0.02, 0.6, 9.0} {
-			t.Run(fmt.Sprintf("k=%d/workers=%d/step=%v", tc.k, tc.workers, maxStep), func(t *testing.T) {
-				rng := rand.New(rand.NewPCG(7, uint64(maxStep*100)))
-				flat, tiled := newTiledPair(t, side, radius, tc.k, tc.workers)
-				xs, ys := randomPoints(rng, n, side)
-				// Update retains the caller's slices, so each index owns a pair.
-				fxs, fys := append([]float64(nil), xs...), append([]float64(nil), ys...)
-				txs, tys := append([]float64(nil), xs...), append([]float64(nil), ys...)
-				flat.RebuildXY(xs, ys)
-				tiled.RebuildXY(xs, ys)
-				for step := 0; step < 30; step++ {
-					perturb(rng, xs, ys, side, maxStep)
-					copy(fxs, xs)
-					copy(fys, ys)
-					copy(txs, xs)
-					copy(tys, ys)
-					flat.Update(fxs, fys, nil)
-					tiled.Update(txs, tys, nil)
-					requireIdentical(t, step, tiled, flat)
-				}
-			})
-		}
-	}
+// rebuildCellsPair is the world step's ingestion path on both indexes:
+// classify once, then RebuildXYCells the flat and the tiled index from the
+// same precomputed buckets.
+func rebuildCellsPair(flat, tiled *Index, xs, ys []float64, cells []int32) {
+	flat.ClassifyInto(cells, xs, ys)
+	flat.RebuildXYCells(xs, ys, cells)
+	tiled.RebuildXYCells(xs, ys, cells)
 }
 
+// TestTiledUpdateCellsMatchesFlat drives the per-step cells update
+// (classify, then RebuildXYCells) on both indexes across a perturbed run.
 func TestTiledUpdateCellsMatchesFlat(t *testing.T) {
 	const side, radius = 10.0, 1.0
 	const n = 600
@@ -113,81 +92,23 @@ func TestTiledUpdateCellsMatchesFlat(t *testing.T) {
 			rng := rand.New(rand.NewPCG(11, 3))
 			flat, tiled := newTiledPair(t, side, radius, tc.k, tc.workers)
 			xs, ys := randomPoints(rng, n, side)
-			fxs, fys := append([]float64(nil), xs...), append([]float64(nil), ys...)
-			txs, tys := append([]float64(nil), xs...), append([]float64(nil), ys...)
 			cells := make([]int32, n)
-			flat.ClassifyInto(cells, xs, ys)
-			flat.RebuildXYCells(xs, ys, cells)
-			tiled.RebuildXYCells(xs, ys, cells)
+			rebuildCellsPair(flat, tiled, xs, ys, cells)
 			requireIdentical(t, -1, tiled, flat)
 			for step := 0; step < 20; step++ {
 				perturb(rng, xs, ys, side, 0.3)
-				copy(fxs, xs)
-				copy(fys, ys)
-				copy(txs, xs)
-				copy(tys, ys)
-				flat.ClassifyInto(cells, xs, ys)
-				flat.UpdateCells(fxs, fys, cells, nil)
-				tiled.UpdateCells(txs, tys, cells, nil)
+				rebuildCellsPair(flat, tiled, xs, ys, cells)
 				requireIdentical(t, step, tiled, flat)
 			}
 		})
 	}
 }
 
-// TestTiledUpdateDirtyMatchesFlat drives the dirty-bitmap delta path (the
-// pause-model regime): only flagged points move, and the change summary
-// must stay exact and equal on both sides.
-func TestTiledUpdateDirtyMatchesFlat(t *testing.T) {
-	const side, radius = 10.0, 1.0
-	const n = 500
-	for _, tc := range tilingGrid {
-		t.Run(fmt.Sprintf("k=%d/workers=%d", tc.k, tc.workers), func(t *testing.T) {
-			rng := rand.New(rand.NewPCG(13, 5))
-			flat, tiled := newTiledPair(t, side, radius, tc.k, tc.workers)
-			xs, ys := randomPoints(rng, n, side)
-			fxs, fys := append([]float64(nil), xs...), append([]float64(nil), ys...)
-			txs, tys := append([]float64(nil), xs...), append([]float64(nil), ys...)
-			flat.RebuildXY(xs, ys)
-			tiled.RebuildXY(xs, ys)
-			dirty := make([]bool, n)
-			for step := 0; step < 20; step++ {
-				for i := range dirty {
-					dirty[i] = rng.Float64() < 0.2
-					if dirty[i] {
-						xs[i] = clamp01(xs[i]+(rng.Float64()*2-1)*0.8, side)
-						ys[i] = clamp01(ys[i]+(rng.Float64()*2-1)*0.8, side)
-					}
-				}
-				copy(fxs, xs)
-				copy(fys, ys)
-				copy(txs, xs)
-				copy(tys, ys)
-				flat.Update(fxs, fys, dirty)
-				tiled.Update(txs, tys, dirty)
-				requireIdentical(t, step, tiled, flat)
-				fm, fe := flat.ChangedBuckets()
-				tm, te := tiled.ChangedBuckets()
-				if fe != te {
-					t.Fatalf("step %d: changeExact %v != %v", step, te, fe)
-				}
-				if fe {
-					for c := range fm {
-						if fm[c] != tm[c] {
-							t.Fatalf("step %d: changed[%d] = %v, want %v", step, c, tm[c], fm[c])
-						}
-					}
-				}
-			}
-		})
-	}
-}
-
-// --- Edge cases tiling stresses (satellite: UpdateCells/RebuildXYCells) ---
+// --- Edge cases tiling stresses ---
 
 // TestTiledEmptyTiles clusters the whole population inside one bucket so
 // every other tile is empty: empty tiles must contribute empty spans, not
-// stale state, on both the rebuild and the delta paths.
+// stale state.
 func TestTiledEmptyTiles(t *testing.T) {
 	const side, radius = 16.0, 1.0
 	const n = 300
@@ -201,8 +122,7 @@ func TestTiledEmptyTiles(t *testing.T) {
 				xs[i] = 3.0 + rng.Float64()*0.9 // all inside bucket column 3
 				ys[i] = 5.0 + rng.Float64()*0.9
 			}
-			fxs, fys := append([]float64(nil), xs...), append([]float64(nil), ys...)
-			txs, tys := append([]float64(nil), xs...), append([]float64(nil), ys...)
+			cells := make([]int32, n)
 			flat.RebuildXY(xs, ys)
 			tiled.RebuildXY(xs, ys)
 			requireIdentical(t, -1, tiled, flat)
@@ -211,12 +131,7 @@ func TestTiledEmptyTiles(t *testing.T) {
 			}
 			for step := 0; step < 10; step++ {
 				perturb(rng, xs, ys, side, 0.2)
-				copy(fxs, xs)
-				copy(fys, ys)
-				copy(txs, xs)
-				copy(tys, ys)
-				flat.Update(fxs, fys, nil)
-				tiled.Update(txs, tys, nil)
+				rebuildCellsPair(flat, tiled, xs, ys, cells)
 				requireIdentical(t, step, tiled, flat)
 			}
 		})
@@ -239,8 +154,7 @@ func TestTiledSingleOccupantBuckets(t *testing.T) {
 				xs[i] = float64(i%cols) + 0.5
 				ys[i] = float64(i/cols) + 0.5
 			}
-			fxs, fys := append([]float64(nil), xs...), append([]float64(nil), ys...)
-			txs, tys := append([]float64(nil), xs...), append([]float64(nil), ys...)
+			cells := make([]int32, n)
 			flat.RebuildXY(xs, ys)
 			tiled.RebuildXY(xs, ys)
 			for c := 0; c < flat.NumCells(); c++ {
@@ -254,12 +168,7 @@ func TestTiledSingleOccupantBuckets(t *testing.T) {
 				for i := range xs {
 					xs[i] = clamp01(xs[i]+0.3, side)
 				}
-				copy(fxs, xs)
-				copy(fys, ys)
-				copy(txs, xs)
-				copy(tys, ys)
-				flat.Update(fxs, fys, nil)
-				tiled.Update(txs, tys, nil)
+				rebuildCellsPair(flat, tiled, xs, ys, cells)
 				requireIdentical(t, step, tiled, flat)
 			}
 		})
@@ -268,7 +177,7 @@ func TestTiledSingleOccupantBuckets(t *testing.T) {
 
 // TestTiledSeamSpanningPopulation concentrates the population in a thin
 // band across a tile seam and jitters it back and forth over the boundary
-// — the ownership-handoff worst case: a large fraction of movers changes
+// — the ownership-handoff worst case: a large fraction of points changes
 // owning tile every step.
 func TestTiledSeamSpanningPopulation(t *testing.T) {
 	const side, radius = 10.0, 1.0
@@ -291,29 +200,23 @@ func TestTiledSeamSpanningPopulation(t *testing.T) {
 				xs[i] = clamp01(seam+(rng.Float64()*2-1)*0.4, side)
 				ys[i] = rng.Float64() * side
 			}
-			fxs, fys := append([]float64(nil), xs...), append([]float64(nil), ys...)
-			txs, tys := append([]float64(nil), xs...), append([]float64(nil), ys...)
+			cells := make([]int32, n)
 			flat.RebuildXY(xs, ys)
 			tiled.RebuildXY(xs, ys)
 			for step := 0; step < 20; step++ {
 				for i := range xs {
 					xs[i] = clamp01(seam+(rng.Float64()*2-1)*0.4, side)
 				}
-				copy(fxs, xs)
-				copy(fys, ys)
-				copy(txs, xs)
-				copy(tys, ys)
-				flat.Update(fxs, fys, nil)
-				tiled.Update(txs, tys, nil)
+				rebuildCellsPair(flat, tiled, xs, ys, cells)
 				requireIdentical(t, step, tiled, flat)
 			}
 		})
 	}
 }
 
-// TestTiledResizeMidRun grows and shrinks the population between updates:
-// a length change has no delta to exploit and must degrade to a (tiled)
-// rebuild of the given slices on both sides.
+// TestTiledResizeMidRun grows and shrinks the population between
+// rebuilds: the tiled scratch must resize with it, through both the
+// RebuildXY and the RebuildXYCells entry points.
 func TestTiledResizeMidRun(t *testing.T) {
 	const side, radius = 10.0, 1.0
 	for _, tc := range tilingGrid {
@@ -322,19 +225,12 @@ func TestTiledResizeMidRun(t *testing.T) {
 			flat, tiled := newTiledPair(t, side, radius, tc.k, tc.workers)
 			for step, n := range []int{100, 700, 250, 0, 400} {
 				xs, ys := randomPoints(rng, n, side)
-				fxs, fys := append([]float64(nil), xs...), append([]float64(nil), ys...)
-				txs, tys := append([]float64(nil), xs...), append([]float64(nil), ys...)
-				flat.Update(fxs, fys, nil)
-				tiled.Update(txs, tys, nil)
+				flat.RebuildXY(xs, ys)
+				tiled.RebuildXY(xs, ys)
 				requireIdentical(t, step, tiled, flat)
-				// And a same-size delta step on the new population.
+				// And a same-size step on the new population.
 				perturb(rng, xs, ys, side, 0.2)
-				copy(fxs, xs)
-				copy(fys, ys)
-				copy(txs, xs)
-				copy(tys, ys)
-				flat.Update(fxs, fys, nil)
-				tiled.Update(txs, tys, nil)
+				rebuildCellsPair(flat, tiled, xs, ys, make([]int32, n))
 				requireIdentical(t, step, tiled, flat)
 			}
 		})

@@ -39,12 +39,12 @@ func (c *capturingRecorder) ObserveStep(v StepView) error {
 // TestRecordReplayRoundTrip is the round-trip property test: a recorded
 // flooding run must replay bit-identically — positions, informed set and
 // the newly-informed discovery order — across the tiled/flat worlds,
-// sequential/parallel stepping, and both index maintenance paths (V/R
-// under the delta threshold and above it, forcing rebuilds).
+// sequential/parallel stepping, and slow and fast agents (V/R = 0.05,
+// where few agents change bucket per step, and V/R = 0.5, where many do).
 func TestRecordReplayRoundTrip(t *testing.T) {
 	for _, tiles := range []int{0, 4} {
 		for _, workers := range []int{0, 4} {
-			for _, v := range []float64{0.05, 0.5} { // delta path / rebuild path (R = 1)
+			for _, v := range []float64{0.05, 0.5} { // slow / fast agents (R = 1)
 				name := fmt.Sprintf("tiles=%d/workers=%d/v=%g", tiles, workers, v)
 				t.Run(name, func(t *testing.T) {
 					cfg := Config{
