@@ -96,12 +96,14 @@ cover:
 
 # fuzz-short runs each fuzzer briefly past its committed seed corpus — a
 # cheap randomized sweep for kernel-vs-reference divergence and for
-# panics in the floodd job-spec decoder on every full ci run;
+# panics in the decoders of outside bytes (floodd job specs, trace
+# files) on every full ci run and on the native CI leg;
 # `go test -fuzz <name>` without -fuzztime searches indefinitely.
 fuzz-short:
 	$(GO) test $(TAGFLAG) -run '^$$' -fuzz FuzzBucketsDifferential -fuzztime 15s ./internal/kernel/
 	$(GO) test $(TAGFLAG) -run '^$$' -fuzz FuzzMaskDifferential -fuzztime 15s ./internal/kernel/
 	$(GO) test $(TAGFLAG) -run '^$$' -fuzz FuzzJobSpec -fuzztime 15s ./internal/service/
+	$(GO) test $(TAGFLAG) -run '^$$' -fuzz FuzzReader -fuzztime 15s ./internal/tracev2/
 
 # FAULTTAGS appends the faultinject tag to the active variant, so the
 # fault suite can run against either kernel build.

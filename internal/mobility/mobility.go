@@ -17,22 +17,23 @@
 // closed-form marginal laws of Theorems 1-2. A cold (uniform) initializer
 // is kept for warm-up/ablation studies.
 //
-// # SoA populations and the AoS reference
+// # Populations and the AoS reference
 //
 // Every model exposes its agents in two equivalent forms:
 //
-//   - Model.NewAgent: one Agent value per node (array-of-structs). This is
-//     the reference implementation — small, obviously faithful to the
-//     paper's process definitions, and the oracle the differential tests
-//     (internal/mobility/soatest) hold the fast path to.
-//   - BulkStepper.NewPopulation: one Population per world
-//     (structure-of-arrays). All mutable kinematic state — trip progress,
-//     current-leg cache, unit directions, pause clocks — lives in flat
-//     per-model parallel slices, and StepRange advances a whole index
-//     range in one batched loop: no interface dispatch, no pointer chase
-//     per agent, and state that the step actually touches packed densely
-//     in cache. sim.World steps populations exclusively when the model
-//     offers one.
+//   - Model.NewPopulation: one Population per world
+//     (structure-of-arrays), the only form the simulator steps. All
+//     mutable kinematic state — trip progress, current-leg cache, unit
+//     directions, pause clocks — lives in flat per-model parallel
+//     slices, and StepRange advances a whole index range in one batched
+//     loop: no interface dispatch, no pointer chase per agent, and state
+//     that the step actually touches packed densely in cache.
+//   - NewAgent, a method on each concrete model type: one Agent value
+//     per node (array-of-structs). This is the reference
+//     implementation — small, obviously faithful to the paper's process
+//     definitions, and the oracle the differential tests
+//     (internal/mobility/soatest) hold the populations to. Per-agent
+//     studies (the E09 turn counts) also use it directly.
 //
 // The two forms are BIT-IDENTICAL by contract, not approximately equal:
 // a population performs exactly the floating-point operation sequence and
@@ -44,18 +45,15 @@
 //
 // # View binding rules
 //
-// The simulator owns the position arrays; mobility publishes into them
-// through a View:
-//
-//   - AoS agents bind one slot each (SlotWriter.BindSlot) and scatter
-//     their position into it at the end of every Step.
-//   - A Population binds the whole View once (Population.Bind) BEFORE any
-//     InitAgent or StepRange call, and its agents' positions live
-//     canonically in View.X/Y — the population keeps no private position
-//     copy. Bind, InitAgent and StepRange must come from the simulator's
-//     step discipline: Bind first, InitAgent per slot (publishing the
-//     initial position), then StepRange over disjoint ranges (safe to run
-//     concurrently — every agent writes only its own slots).
+// The simulator owns the position arrays; a population publishes into
+// them through a View. It binds the whole View once (Population.Bind)
+// BEFORE any InitAgent or StepRange call, and its agents' positions live
+// canonically in View.X/Y — the population keeps no private position
+// copy. Bind, InitAgent and StepRange must come from the simulator's step
+// discipline: Bind first, InitAgent per slot (publishing the initial
+// position), then StepRange over disjoint ranges (safe to run
+// concurrently — every agent writes only its own slots). AoS agents know
+// nothing of views; they keep their position and report it through Pos.
 package mobility
 
 import (
@@ -68,7 +66,7 @@ import (
 
 // Agent is one mobile node. Step advances it by exactly one time unit
 // (distance Speed() along its route). Implementations are not safe for
-// concurrent use; the simulator owns each agent.
+// concurrent use; the caller owns each agent.
 type Agent interface {
 	// Pos returns the current position, always inside [0, L]^2.
 	Pos() geom.Point
@@ -79,92 +77,25 @@ type Agent interface {
 }
 
 // View is the simulator's structure-of-arrays position sink: slot i of the
-// X and Y slices holds agent i's current coordinates. Agents bound to a
-// view (see SlotWriter) scatter their position into their slot at the end
-// of every Step, so the simulator's hot loops read flat float64 slices and
-// never pay a second interface call (Pos) per agent per step. Agent
-// stepping itself is untouched — the view only routes the final write — so
-// trajectories are bit-identical to the unbound path. Agents only ever
-// write their own slot, which keeps parallel stepping race-free.
+// X and Y slices holds agent i's current coordinates. A bound Population
+// writes each agent's position into its slot on every InitAgent and
+// StepRange, so the simulator's hot loops read flat float64 slices.
+// Agents only ever write their own slot, which keeps parallel stepping
+// race-free.
 type View struct {
 	X, Y []float64
 }
 
-// SlotWriter is implemented by agents that can scatter their position
-// directly into a bound View slot on every Step. All models in this
-// package implement it; the simulator falls back to copying Pos() for
-// third-party agents that do not.
-type SlotWriter interface {
-	Agent
-	// BindSlot attaches the view slot the agent writes through and
-	// immediately publishes the current position into it.
-	BindSlot(v View, slot int)
-}
-
-// slotSink is the embeddable write-through half of SlotWriter: the bound
-// view slot an agent scatters its position into. Concrete agents embed it,
-// call publish at the end of every position change, and preserve it across
-// in-place reinitialization.
-type slotSink struct {
-	out  View
-	slot int
-}
-
-// bind attaches the view slot.
-func (s *slotSink) bind(v View, slot int) { s.out, s.slot = v, slot }
-
-// publish scatters (x, y) into the bound slot, if any.
-func (s *slotSink) publish(x, y float64) {
-	if s.out.X == nil {
-		return
-	}
-	s.out.X[s.slot] = x
-	s.out.Y[s.slot] = y
-}
-
-// ReinitModel is implemented by models that can re-draw an existing agent
-// in place from a fresh RNG stream, exactly as NewAgent would — the
-// world-pooling fast path for Monte-Carlo trial sweeps (no per-trial agent
-// or RNG allocations). ReinitAgent reports false when a did not come from
-// this model's NewAgent, in which case the caller falls back to NewAgent.
-// A bound view slot survives reinitialization.
-type ReinitModel interface {
-	Model
-	ReinitAgent(a Agent, rng *rand.Rand) bool
-}
-
-// Directed is implemented by agents with a well-defined axis-parallel or
-// free direction of motion. For Manhattan-style models the heading is one
-// of the four axis directions.
-type Directed interface {
-	Agent
-	Heading() geom.Heading
-}
-
-// TurnCounter is implemented by agents that track the paper's "turns"
-// (direction changes, Lemma 13) and completed waypoints.
-type TurnCounter interface {
-	Agent
-	// Turns returns the cumulative number of direction changes performed.
-	Turns() int64
-	// Waypoints returns the cumulative number of destinations reached.
-	Waypoints() int64
-}
-
-// Destined is implemented by way-point agents that expose their current
-// destination.
-type Destined interface {
-	Agent
-	Destination() geom.Point
-}
-
-// Model creates agents of one mobility kind. NewAgent draws an independent
-// agent using the provided RNG (which the agent keeps for its own moves).
+// Model is one mobility kind: it names itself and builds the
+// structure-of-arrays Population the simulator steps. NewPopulation must
+// produce trajectories bit-identical to the model's reference agents
+// (NewAgent on the concrete type) fed the same per-agent RNG streams.
 type Model interface {
 	// Name identifies the model in tables and traces.
 	Name() string
-	// NewAgent creates one agent in the model's initial distribution.
-	NewAgent(rng *rand.Rand) Agent
+	// NewPopulation creates an empty population of n agents, ready for
+	// Bind and per-agent InitAgent.
+	NewPopulation(n int) Population
 }
 
 // Population is the structure-of-arrays form of n agents of one model:
@@ -188,20 +119,6 @@ type Population interface {
 	// agents. Disjoint ranges may be stepped concurrently: an agent
 	// touches only its own slots.
 	StepRange(lo, hi int)
-}
-
-// BulkStepper is an optional Model capability: a model that can represent
-// its agents as a Population and step them in one batched loop — no
-// interface dispatch, no per-agent pointer chase, state packed in flat
-// slices. NewPopulation must produce trajectories bit-identical to n
-// NewAgent agents fed the same per-agent RNG streams; sim.World steps a
-// population exclusively when the model offers one, falling back to AoS
-// agents otherwise.
-type BulkStepper interface {
-	Model
-	// NewPopulation creates an empty population of n agents, ready for
-	// Bind and per-agent InitAgent.
-	NewPopulation(n int) Population
 }
 
 // Config carries the parameters shared by all mobility models.

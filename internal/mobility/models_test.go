@@ -2,6 +2,7 @@ package mobility
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 
 	"manhattanflood/internal/geom"
@@ -231,7 +232,11 @@ func TestModelContract(t *testing.T) {
 	rwp, _ := NewRWP(cfg)
 	walk, _ := NewRandomWalk(cfg)
 	dir, _ := NewRandomDirection(cfg)
-	for _, m := range []Model{mrwp, rwp, walk, dir} {
+	type refModel interface {
+		Model
+		NewAgent(*rand.Rand) Agent
+	}
+	for _, m := range []refModel{mrwp, rwp, walk, dir} {
 		t.Run(m.Name(), func(t *testing.T) {
 			rng := testRNG(30)
 			a := m.NewAgent(rng)

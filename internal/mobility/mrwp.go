@@ -19,10 +19,7 @@ type MRWP struct {
 	spat dist.Spatial
 }
 
-var (
-	_ Model       = (*MRWP)(nil)
-	_ BulkStepper = (*MRWP)(nil)
-)
+var _ Model = (*MRWP)(nil)
 
 // MRWPOption customizes the model.
 type MRWPOption func(*MRWP)
@@ -55,42 +52,25 @@ func NewMRWP(cfg Config, opts ...MRWPOption) (*MRWP, error) {
 // Name implements Model.
 func (m *MRWP) Name() string { return "mrwp" }
 
-// NewPopulation implements BulkStepper.
+// NewPopulation implements Model.
 func (m *MRWP) NewPopulation(n int) Population { return newMRWPPop(m, n) }
 
 // Config returns the model parameters.
 func (m *MRWP) Config() Config { return m.cfg }
 
-// NewAgent implements Model.
+// NewAgent creates one reference (AoS) agent in the model's initial
+// distribution; the agent keeps rng for its own moves.
 func (m *MRWP) NewAgent(rng *rand.Rand) Agent {
-	a := &MRWPAgent{}
-	m.initAgent(a, rng)
-	return a
-}
-
-// ReinitAgent implements ReinitModel: it re-draws an existing *MRWPAgent
-// in place, exactly as NewAgent would, preserving its view binding.
-func (m *MRWP) ReinitAgent(ag Agent, rng *rand.Rand) bool {
-	a, ok := ag.(*MRWPAgent)
-	if !ok {
-		return false
-	}
-	m.initAgent(a, rng)
-	return true
-}
-
-func (m *MRWP) initAgent(a *MRWPAgent, rng *rand.Rand) {
-	sink := a.slotSink
-	*a = MRWPAgent{cfg: m.cfg, rng: rng, slotSink: sink}
+	a := &MRWPAgent{cfg: m.cfg, rng: rng}
 	a.path, a.travelled = m.drawInit(rng)
 	a.syncLeg()
 	a.pos = a.path.At(a.travelled)
-	a.publish(a.pos.X, a.pos.Y)
+	return a
 }
 
 // drawInit draws one agent's initial trip state (compiled path + progress
 // along it) according to the model's InitMode. It is the single source of
-// the initialization RNG draw sequence: the AoS initAgent and the SoA
+// the initialization RNG draw sequence: the AoS NewAgent and the SoA
 // Population.InitAgent both call it, which is what makes their trajectories
 // bit-identical from step 0.
 func (m *MRWP) drawInit(rng *rand.Rand) (geom.CompiledPath, float64) {
@@ -127,7 +107,7 @@ func randOrder(rng *rand.Rand) geom.LegOrder {
 //
 // The hot fields are grouped up front: the common step — advance within
 // the current leg, no corner, no way-point — touches only the leg cache
-// below plus pos/out, never the full compiled path.
+// below plus pos, never the full compiled path.
 type MRWPAgent struct {
 	cfg       Config
 	travelled float64
@@ -142,11 +122,10 @@ type MRWPAgent struct {
 	legDX      float64
 	legDY      float64
 	pos        geom.Point
-	slotSink
-	rng       *rand.Rand
-	path      geom.CompiledPath
-	turns     int64
-	waypoints int64
+	rng        *rand.Rand
+	path       geom.CompiledPath
+	turns      int64
+	waypoints  int64
 }
 
 // setPath installs a fresh trip, caching its derived geometry.
@@ -172,19 +151,6 @@ func (a *MRWPAgent) syncLeg() {
 		a.legDX, a.legDY = p.D2X, p.D2Y
 	}
 }
-
-// BindSlot implements SlotWriter.
-func (a *MRWPAgent) BindSlot(v View, slot int) {
-	a.bind(v, slot)
-	a.publish(a.pos.X, a.pos.Y)
-}
-
-var (
-	_ Directed    = (*MRWPAgent)(nil)
-	_ TurnCounter = (*MRWPAgent)(nil)
-	_ Destined    = (*MRWPAgent)(nil)
-	_ SlotWriter  = (*MRWPAgent)(nil)
-)
 
 // drawTheorems draws an initial trip state from the closed-form laws:
 // position ~ Theorem 1; destination ~ Theorem 2; for a quadrant destination
@@ -225,16 +191,17 @@ func (a *MRWPAgent) Pos() geom.Point { return a.pos }
 // Speed implements Agent.
 func (a *MRWPAgent) Speed() float64 { return a.cfg.V }
 
-// Destination implements Destined.
+// Destination returns the current trip's way-point.
 func (a *MRWPAgent) Destination() geom.Point { return a.path.Dst }
 
-// Heading implements Directed.
+// Heading returns the current axis-parallel direction of motion.
 func (a *MRWPAgent) Heading() geom.Heading { return a.path.HeadingAt(a.travelled) }
 
-// Turns implements TurnCounter.
+// Turns returns the cumulative number of direction changes (the paper's
+// "turns", Lemma 13).
 func (a *MRWPAgent) Turns() int64 { return a.turns }
 
-// Waypoints implements TurnCounter.
+// Waypoints returns the cumulative number of destinations reached.
 func (a *MRWPAgent) Waypoints() int64 { return a.waypoints }
 
 // Path returns the current L-path (for tests and trace tooling).
@@ -263,7 +230,6 @@ func (a *MRWPAgent) Step() {
 		a.travelled = t
 		u := t - a.legS
 		a.pos = geom.Point{X: a.legBX + u*a.legDX, Y: a.legBY + u*a.legDY}.Clamp(a.cfg.L)
-		a.publish(a.pos.X, a.pos.Y)
 		return
 	}
 	a.stepSlow()
@@ -306,7 +272,6 @@ func (a *MRWPAgent) stepSlow() {
 	}
 	a.syncLeg()
 	a.pos = a.path.At(a.travelled).Clamp(a.cfg.L)
-	a.publish(a.pos.X, a.pos.Y)
 }
 
 // startTrip begins a fresh trip from the current destination.

@@ -33,10 +33,7 @@ type PausedMRWP struct {
 	trip     dist.TripSampler
 }
 
-var (
-	_ Model       = (*PausedMRWP)(nil)
-	_ BulkStepper = (*PausedMRWP)(nil)
-)
+var _ Model = (*PausedMRWP)(nil)
 
 // NewPausedMRWP creates the paused variant; maxPause is in time units and
 // must be positive (use plain NewMRWP for zero pause).
@@ -57,7 +54,7 @@ func NewPausedMRWP(cfg Config, maxPause float64) (*PausedMRWP, error) {
 // Name implements Model.
 func (m *PausedMRWP) Name() string { return "mrwp-paused" }
 
-// NewPopulation implements BulkStepper.
+// NewPopulation implements Model.
 func (m *PausedMRWP) NewPopulation(n int) Population { return newPausedPop(m, n) }
 
 // PausedFraction returns the stationary probability q of being paused.
@@ -78,29 +75,13 @@ func (m *PausedMRWP) StationaryDensity(x, y float64) float64 {
 	return q/(m.cfg.L*m.cfg.L) + (1-q)*sp.Density(x, y)
 }
 
-// NewAgent implements Model with exact stationary initialization.
+// NewAgent creates one reference (AoS) agent with exact stationary
+// initialization; the agent keeps rng for its own moves.
 func (m *PausedMRWP) NewAgent(rng *rand.Rand) Agent {
-	a := &PausedAgent{}
-	m.initAgent(a, rng)
-	return a
-}
-
-// ReinitAgent implements ReinitModel.
-func (m *PausedMRWP) ReinitAgent(ag Agent, rng *rand.Rand) bool {
-	a, ok := ag.(*PausedAgent)
-	if !ok {
-		return false
-	}
-	m.initAgent(a, rng)
-	return true
-}
-
-func (m *PausedMRWP) initAgent(a *PausedAgent, rng *rand.Rand) {
-	sink := a.slotSink
-	*a = PausedAgent{cfg: m.cfg, maxPause: m.maxPause, rng: rng, slotSink: sink}
+	a := &PausedAgent{cfg: m.cfg, maxPause: m.maxPause, rng: rng}
 	a.path, a.travelled, a.pauseLeft = m.drawInit(rng)
 	a.pos = a.path.At(a.travelled)
-	a.publish(a.pos.X, a.pos.Y)
+	return a
 }
 
 // drawInit draws one agent's initial phase, trip and pause clock; the
@@ -130,19 +111,10 @@ type PausedAgent struct {
 	travelled float64
 	pauseLeft float64 // remaining pause time at the current way-point
 	pos       geom.Point
-	slotSink
 }
 
 // setPath installs a fresh trip, caching its derived geometry.
 func (a *PausedAgent) setPath(p geom.LPath) { a.path = geom.Compile(p) }
-
-var _ SlotWriter = (*PausedAgent)(nil)
-
-// BindSlot implements SlotWriter.
-func (a *PausedAgent) BindSlot(v View, slot int) {
-	a.bind(v, slot)
-	a.publish(a.pos.X, a.pos.Y)
-}
 
 // Pos implements Agent.
 func (a *PausedAgent) Pos() geom.Point { return a.pos }
@@ -181,7 +153,5 @@ func (a *PausedAgent) Step() {
 		a.setPath(geom.NewLPath(src, dst, randOrder(a.rng)))
 		a.travelled = 0
 	}
-	np := a.path.At(a.travelled).Clamp(a.cfg.L)
-	a.pos = np
-	a.publish(np.X, np.Y)
+	a.pos = a.path.At(a.travelled).Clamp(a.cfg.L)
 }

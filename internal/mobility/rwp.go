@@ -18,10 +18,7 @@ type RWP struct {
 	init InitMode
 }
 
-var (
-	_ Model       = (*RWP)(nil)
-	_ BulkStepper = (*RWP)(nil)
-)
+var _ Model = (*RWP)(nil)
 
 // RWPOption customizes the model.
 type RWPOption func(*RWP)
@@ -50,31 +47,16 @@ func NewRWP(cfg Config, opts ...RWPOption) (*RWP, error) {
 // Name implements Model.
 func (m *RWP) Name() string { return "rwp" }
 
-// NewPopulation implements BulkStepper.
+// NewPopulation implements Model.
 func (m *RWP) NewPopulation(n int) Population { return newRWPPop(m, n) }
 
-// NewAgent implements Model.
+// NewAgent creates one reference (AoS) agent in the model's initial
+// distribution; the agent keeps rng for its own moves.
 func (m *RWP) NewAgent(rng *rand.Rand) Agent {
-	a := &RWPAgent{}
-	m.initAgent(a, rng)
-	return a
-}
-
-// ReinitAgent implements ReinitModel.
-func (m *RWP) ReinitAgent(ag Agent, rng *rand.Rand) bool {
-	a, ok := ag.(*RWPAgent)
-	if !ok {
-		return false
-	}
-	m.initAgent(a, rng)
-	return true
-}
-
-func (m *RWP) initAgent(a *RWPAgent, rng *rand.Rand) {
-	sink := a.slotSink
-	*a = RWPAgent{cfg: m.cfg, rng: rng, slotSink: sink}
+	a := &RWPAgent{cfg: m.cfg, rng: rng}
 	a.src, a.dst, a.travelled = m.drawInit(rng)
 	a.updatePos()
+	return a
 }
 
 // drawInit draws one agent's initial segment and progress; the single
@@ -112,19 +94,7 @@ type RWPAgent struct {
 	src, dst  geom.Point
 	travelled float64
 	pos       geom.Point
-	slotSink
 	waypoints int64
-}
-
-var (
-	_ Destined   = (*RWPAgent)(nil)
-	_ SlotWriter = (*RWPAgent)(nil)
-)
-
-// BindSlot implements SlotWriter.
-func (a *RWPAgent) BindSlot(v View, slot int) {
-	a.bind(v, slot)
-	a.publish(a.pos.X, a.pos.Y)
 }
 
 // Pos implements Agent.
@@ -133,7 +103,7 @@ func (a *RWPAgent) Pos() geom.Point { return a.pos }
 // Speed implements Agent.
 func (a *RWPAgent) Speed() float64 { return a.cfg.V }
 
-// Destination implements Destined.
+// Destination returns the current way-point.
 func (a *RWPAgent) Destination() geom.Point { return a.dst }
 
 // Waypoints returns the number of destinations reached.
@@ -162,10 +132,8 @@ func (a *RWPAgent) updatePos() {
 	length := a.src.Dist(a.dst)
 	if length == 0 {
 		a.pos = a.src
-		a.publish(a.pos.X, a.pos.Y)
 		return
 	}
 	frac := a.travelled / length
 	a.pos = a.src.Add(a.dst.Sub(a.src).Scale(frac)).Clamp(a.cfg.L)
-	a.publish(a.pos.X, a.pos.Y)
 }

@@ -11,7 +11,7 @@ package mobility
 // by the soatest differential harness, which checks exactly that).
 //
 // Initialization draws are not duplicated at all: InitAgent calls the
-// model's drawInit helper, the same function the AoS initAgent consumes.
+// model's drawInit helper, the same function the AoS NewAgent consumes.
 
 import (
 	"math"
@@ -39,8 +39,7 @@ func (p *popBase) Bind(v View) {
 	p.view = v
 }
 
-// publish scatters (x, y) into slot i, exactly like slotSink.publish for
-// a bound agent.
+// publish scatters (x, y) into slot i.
 func (p *popBase) publish(i int, x, y float64) {
 	p.view.X[i] = x
 	p.view.Y[i] = y

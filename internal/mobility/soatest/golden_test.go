@@ -59,7 +59,7 @@ var goldenSnapshots = []int{0, 1, 2, 4, 8, 16, 24, 32}
 // round-trips exactly.
 func renderTrajectory(t *testing.T, model mobility.Model) string {
 	t.Helper()
-	pop := model.(mobility.BulkStepper).NewPopulation(goldenN)
+	pop := model.NewPopulation(goldenN)
 	v := mobility.View{X: make([]float64, goldenN), Y: make([]float64, goldenN)}
 	pop.Bind(v)
 	for i := 0; i < goldenN; i++ {
@@ -141,10 +141,16 @@ func TestGoldenMatchesAoS(t *testing.T) {
 			soa := renderTrajectory(t, model)
 			v := mobility.View{X: make([]float64, goldenN), Y: make([]float64, goldenN)}
 			agents := make([]mobility.Agent, goldenN)
-			for i := range agents {
-				agents[i] = model.NewAgent(rand.New(rand.NewPCG(goldenSeed, uint64(i))))
-				agents[i].(mobility.SlotWriter).BindSlot(v, i)
+			publish := func() {
+				for i, a := range agents {
+					p := a.Pos()
+					v.X[i], v.Y[i] = p.X, p.Y
+				}
 			}
+			for i := range agents {
+				agents[i] = model.(refModel).NewAgent(rand.New(rand.NewPCG(goldenSeed, uint64(i))))
+			}
+			publish()
 			var b strings.Builder
 			fmt.Fprintf(&b, "# model=%s L=%g V=%g seed=%d n=%d\n",
 				model.Name(), goldenL, goldenV, goldenSeed, goldenN)
@@ -154,6 +160,7 @@ func TestGoldenMatchesAoS(t *testing.T) {
 					for _, a := range agents {
 						a.Step()
 					}
+					publish()
 				}
 				if next < len(goldenSnapshots) && goldenSnapshots[next] == step {
 					fmt.Fprintf(&b, "step %d\n", step)

@@ -8,6 +8,13 @@ import (
 	"manhattanflood/internal/mobility"
 )
 
+// refModel is a model together with its AoS reference form: every model
+// in package mobility offers NewAgent as a method on its concrete type.
+type refModel interface {
+	mobility.Model
+	NewAgent(rng *rand.Rand) mobility.Agent
+}
+
 // modelCase builds one model variant under a given (L, V) configuration.
 type modelCase struct {
 	name string
@@ -49,9 +56,12 @@ func modelMatrix() []modelCase {
 }
 
 // lockstep holds the two forms of one model's agents, driven from
-// identical per-agent RNG streams, plus their separate views.
+// identical per-agent RNG streams, plus their separate views: the
+// population writes pv itself, the harness copies each agent's Pos into
+// av.
 type lockstep struct {
 	n      int
+	model  refModel
 	agents []mobility.Agent
 	pop    mobility.Population
 	av, pv mobility.View
@@ -59,14 +69,15 @@ type lockstep struct {
 
 func newLockstep(t *testing.T, model mobility.Model, n int, seed uint64) *lockstep {
 	t.Helper()
-	bs, ok := model.(mobility.BulkStepper)
+	rm, ok := model.(refModel)
 	if !ok {
-		t.Fatalf("model %s does not offer a population", model.Name())
+		t.Fatalf("model %s has no AoS reference form", model.Name())
 	}
 	ls := &lockstep{
 		n:      n,
+		model:  rm,
 		agents: make([]mobility.Agent, n),
-		pop:    bs.NewPopulation(n),
+		pop:    model.NewPopulation(n),
 		av:     mobility.View{X: make([]float64, n), Y: make([]float64, n)},
 		pv:     mobility.View{X: make([]float64, n), Y: make([]float64, n)},
 	}
@@ -78,14 +89,24 @@ func newLockstep(t *testing.T, model mobility.Model, n int, seed uint64) *lockst
 		// Two independent copies of the SAME stream: any divergence in
 		// draw consumption between the forms desynchronizes everything
 		// downstream and the comparison fails loudly.
-		ra := rand.New(rand.NewPCG(seed, uint64(i)))
-		rp := rand.New(rand.NewPCG(seed, uint64(i)))
-		a := model.NewAgent(ra)
-		ls.agents[i] = a
-		a.(mobility.SlotWriter).BindSlot(ls.av, i)
-		ls.pop.InitAgent(i, rp)
+		ls.init(i, seed)
 	}
 	return ls
+}
+
+// init draws agent i of both forms from two independent copies of the
+// SAME stream: any divergence in draw consumption between the forms
+// desynchronizes everything downstream and the comparison fails loudly.
+func (ls *lockstep) init(i int, seed uint64) {
+	ls.agents[i] = ls.model.NewAgent(rand.New(rand.NewPCG(seed, uint64(i))))
+	ls.publish(i)
+	ls.pop.InitAgent(i, rand.New(rand.NewPCG(seed, uint64(i))))
+}
+
+// publish copies AoS agent i's position into its slot of av.
+func (ls *lockstep) publish(i int) {
+	p := ls.agents[i].Pos()
+	ls.av.X[i], ls.av.Y[i] = p.X, p.Y
 }
 
 // compare requires the two forms to be in bit-identical states: view
@@ -111,8 +132,9 @@ func (ls *lockstep) compare(t *testing.T, tag string) {
 // decompositions (the world steps shards and fuse-chunks, never always
 // the full range).
 func (ls *lockstep) step(splits []int) {
-	for _, a := range ls.agents {
+	for i, a := range ls.agents {
 		a.Step()
+		ls.publish(i)
 	}
 	lo := 0
 	for _, s := range splits {
@@ -159,9 +181,10 @@ func TestLockstepBitIdentical(t *testing.T) {
 	}
 }
 
-// TestLockstepReinit pins the pooled-reuse contract: re-drawing both
-// forms in place from a fresh seed (ReinitAgent / InitAgent) leaves them
-// bit-identical again, with counters reset.
+// TestLockstepReinit pins the pooled-reuse contract: re-drawing the
+// population in place from a fresh seed (InitAgent over a dirty slot)
+// matches fresh AoS agents drawn from the same reseeded streams
+// bit for bit, counters included.
 func TestLockstepReinit(t *testing.T) {
 	for _, mc := range modelMatrix() {
 		t.Run(mc.name, func(t *testing.T) {
@@ -174,14 +197,8 @@ func TestLockstepReinit(t *testing.T) {
 			for s := 0; s < 20; s++ {
 				ls.step(nil)
 			}
-			rm := model.(mobility.ReinitModel)
 			for i := 0; i < n; i++ {
-				ra := rand.New(rand.NewPCG(99, uint64(i)))
-				rp := rand.New(rand.NewPCG(99, uint64(i)))
-				if !rm.ReinitAgent(ls.agents[i], ra) {
-					t.Fatalf("ReinitAgent rejected its own agent %d", i)
-				}
-				ls.pop.InitAgent(i, rp)
+				ls.init(i, 99)
 			}
 			ls.compare(t, "reinit")
 			for s := 1; s <= 20; s++ {
@@ -198,7 +215,7 @@ func TestBindValidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pop := mobility.BulkStepper(model).NewPopulation(8)
+	pop := model.NewPopulation(8)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Bind with mismatched view sizes did not panic")

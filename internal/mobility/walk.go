@@ -18,10 +18,7 @@ type RandomWalk struct {
 	cfg Config
 }
 
-var (
-	_ Model       = (*RandomWalk)(nil)
-	_ BulkStepper = (*RandomWalk)(nil)
-)
+var _ Model = (*RandomWalk)(nil)
 
 // NewRandomWalk creates the random-walk model.
 func NewRandomWalk(cfg Config) (*RandomWalk, error) {
@@ -34,36 +31,18 @@ func NewRandomWalk(cfg Config) (*RandomWalk, error) {
 // Name implements Model.
 func (m *RandomWalk) Name() string { return "random-walk" }
 
-// NewPopulation implements BulkStepper.
+// NewPopulation implements Model.
 func (m *RandomWalk) NewPopulation(n int) Population { return newWalkPop(m, n) }
 
-// NewAgent implements Model. Agents start uniform, which is already the
-// stationary law of this model.
+// NewAgent creates one reference (AoS) agent. Agents start uniform,
+// which is already the stationary law of this model; the agent keeps rng
+// for its own moves.
 func (m *RandomWalk) NewAgent(rng *rand.Rand) Agent {
-	a := &WalkAgent{}
-	m.initAgent(a, rng)
-	return a
-}
-
-// ReinitAgent implements ReinitModel.
-func (m *RandomWalk) ReinitAgent(ag Agent, rng *rand.Rand) bool {
-	a, ok := ag.(*WalkAgent)
-	if !ok {
-		return false
+	return &WalkAgent{
+		cfg: m.cfg,
+		rng: rng,
+		pos: geom.Pt(rng.Float64()*m.cfg.L, rng.Float64()*m.cfg.L),
 	}
-	m.initAgent(a, rng)
-	return true
-}
-
-func (m *RandomWalk) initAgent(a *WalkAgent, rng *rand.Rand) {
-	sink := a.slotSink
-	*a = WalkAgent{
-		cfg:      m.cfg,
-		rng:      rng,
-		pos:      geom.Pt(rng.Float64()*m.cfg.L, rng.Float64()*m.cfg.L),
-		slotSink: sink,
-	}
-	a.publish(a.pos.X, a.pos.Y)
 }
 
 // WalkAgent is one random-walk agent.
@@ -71,10 +50,7 @@ type WalkAgent struct {
 	cfg Config
 	rng *rand.Rand
 	pos geom.Point
-	slotSink
 }
-
-var _ SlotWriter = (*WalkAgent)(nil)
 
 // Pos implements Agent.
 func (a *WalkAgent) Pos() geom.Point { return a.pos }
@@ -82,19 +58,12 @@ func (a *WalkAgent) Pos() geom.Point { return a.pos }
 // Speed implements Agent.
 func (a *WalkAgent) Speed() float64 { return a.cfg.V }
 
-// BindSlot implements SlotWriter.
-func (a *WalkAgent) BindSlot(v View, slot int) {
-	a.bind(v, slot)
-	a.publish(a.pos.X, a.pos.Y)
-}
-
 // Step implements Agent.
 func (a *WalkAgent) Step() {
 	theta := a.rng.Float64() * 2 * math.Pi
 	nx := a.pos.X + a.cfg.V*math.Cos(theta)
 	ny := a.pos.Y + a.cfg.V*math.Sin(theta)
 	a.pos = geom.Pt(reflect(nx, a.cfg.L), reflect(ny, a.cfg.L))
-	a.publish(a.pos.X, a.pos.Y)
 }
 
 // RandomDirection is the random-direction model: the agent picks a uniform
@@ -106,10 +75,7 @@ type RandomDirection struct {
 	cfg Config
 }
 
-var (
-	_ Model       = (*RandomDirection)(nil)
-	_ BulkStepper = (*RandomDirection)(nil)
-)
+var _ Model = (*RandomDirection)(nil)
 
 // NewRandomDirection creates the random-direction model.
 func NewRandomDirection(cfg Config) (*RandomDirection, error) {
@@ -122,38 +88,21 @@ func NewRandomDirection(cfg Config) (*RandomDirection, error) {
 // Name implements Model.
 func (m *RandomDirection) Name() string { return "random-direction" }
 
-// NewPopulation implements BulkStepper.
+// NewPopulation implements Model.
 func (m *RandomDirection) NewPopulation(n int) Population { return newDirectionPop(m, n) }
 
-// NewAgent implements Model.
+// NewAgent creates one reference (AoS) agent; the agent keeps rng for
+// its own moves.
 func (m *RandomDirection) NewAgent(rng *rand.Rand) Agent {
-	a := &DirectionAgent{}
-	m.initAgent(a, rng)
-	return a
-}
-
-// ReinitAgent implements ReinitModel.
-func (m *RandomDirection) ReinitAgent(ag Agent, rng *rand.Rand) bool {
-	a, ok := ag.(*DirectionAgent)
-	if !ok {
-		return false
-	}
-	m.initAgent(a, rng)
-	return true
-}
-
-func (m *RandomDirection) initAgent(a *DirectionAgent, rng *rand.Rand) {
-	sink := a.slotSink
-	*a = DirectionAgent{
-		cfg:      m.cfg,
-		rng:      rng,
-		pos:      geom.Pt(rng.Float64()*m.cfg.L, rng.Float64()*m.cfg.L),
-		slotSink: sink,
+	a := &DirectionAgent{
+		cfg: m.cfg,
+		rng: rng,
+		pos: geom.Pt(rng.Float64()*m.cfg.L, rng.Float64()*m.cfg.L),
 	}
 	a.redraw()
 	// Start mid-epoch so agents are desynchronized from time 0.
 	a.remaining *= rng.Float64()
-	a.publish(a.pos.X, a.pos.Y)
+	return a
 }
 
 // DirectionAgent is one random-direction agent.
@@ -163,15 +112,6 @@ type DirectionAgent struct {
 	pos       geom.Point
 	dx, dy    float64 // unit direction
 	remaining float64 // distance left in the current epoch
-	slotSink
-}
-
-var _ SlotWriter = (*DirectionAgent)(nil)
-
-// BindSlot implements SlotWriter.
-func (a *DirectionAgent) BindSlot(v View, slot int) {
-	a.bind(v, slot)
-	a.publish(a.pos.X, a.pos.Y)
 }
 
 func (a *DirectionAgent) redraw() {
@@ -212,7 +152,6 @@ func (a *DirectionAgent) Step() {
 			a.redraw()
 		}
 	}
-	a.publish(a.pos.X, a.pos.Y)
 }
 
 // reflectDir folds v into [0, side] by mirror reflection and reports

@@ -29,6 +29,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"time"
 
 	"manhattanflood/internal/checkpoint"
@@ -91,13 +92,64 @@ func (s JobSpec) sweep() experiments.SweepSpec {
 	}
 }
 
-// Validate reports whether the spec is runnable, with the same rules (and
-// messages) as the sweep CLI.
+// Admission caps: fixed bounds on what one sweep point may allocate. A
+// point's world holds n agents and a neighbor index of ⌈√n/r⌉² buckets
+// backed by two int32 arrays. A spec past either cap is refused at
+// submit, before it is journaled, instead of failing or exhausting
+// memory on every cell (and again after every restart).
+const (
+	// maxPointAgents caps the agent count of any point.
+	maxPointAgents = 1_000_000
+	// maxPointBuckets caps the neighbor-index grid of any point: 2^22
+	// buckets are 32 MiB of bucket arrays.
+	maxPointBuckets = 1 << 22
+)
+
+// Validate reports whether the spec is runnable: the sweep CLI's rules
+// (and messages), then every point's parameters against the admission
+// caps.
 func (s JobSpec) Validate() error {
 	if s.TimeoutSeconds < 0 {
 		return fmt.Errorf("timeout_seconds must be >= 0")
 	}
-	return s.sweep().Validate()
+	if err := s.sweep().Validate(); err != nil {
+		return err
+	}
+	for i, x := range s.Values {
+		n, r, v := float64(s.N), s.R, s.V
+		switch s.Param {
+		case "n":
+			n = x
+		case "r":
+			r = x
+		case "v":
+			v = x
+		}
+		if err := admitPoint(n, r, v); err != nil {
+			return fmt.Errorf("point %d (%s = %v): %w", i, s.Param, x, err)
+		}
+	}
+	return nil
+}
+
+// admitPoint checks one sweep point's agent count, radius and speed.
+func admitPoint(n, r, v float64) error {
+	if !(n >= 1) || n != math.Trunc(n) {
+		return fmt.Errorf("n = %v: agent count must be an integer >= 1", n)
+	}
+	if n > maxPointAgents {
+		return fmt.Errorf("n = %v: over the %d-agent cap", n, maxPointAgents)
+	}
+	if !(r > 0) || math.IsInf(r, 0) {
+		return fmt.Errorf("r = %v: radius must be positive and finite", r)
+	}
+	if !(v > 0) || math.IsInf(v, 0) {
+		return fmt.Errorf("v = %v: speed must be positive and finite", v)
+	}
+	if cols := math.Ceil(math.Sqrt(n) / r); cols*cols > maxPointBuckets {
+		return fmt.Errorf("r = %v: a %.0f-bucket neighbor grid is over the %d-bucket cap", r, cols*cols, maxPointBuckets)
+	}
+	return nil
 }
 
 // ID returns the job's content address: a hash over every

@@ -42,10 +42,9 @@ func requireIndexMatchesFreshRebuild(t *testing.T, step int, w *World, ref *spat
 	}
 }
 
-// The index World.Step maintains (fused classify + RebuildXYCells for
-// populations, RebuildXY for AoS agents) must stay bit-identical to a
-// fresh rebuild from the live coordinates across randomized mobility
-// runs — for the default MRWP model, the paused variant (whose resting
+// The index World.Step maintains (fused classify + RebuildXYCells) must
+// stay bit-identical to a fresh rebuild from the live coordinates across
+// randomized mobility runs — for the default MRWP model, the paused variant (whose resting
 // agents republish unchanged positions) and the random walk, stepped
 // sequentially and in parallel, at slow (V/R = 0.04), medium and
 // teleport-scale velocities.

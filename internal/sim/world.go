@@ -12,21 +12,19 @@
 // coordinate) rather than a []geom.Point: the Monte-Carlo sweeps that
 // dominate the simulator's runtime stream X before (or instead of) Y in
 // their distance tests, and the split layout halves the memory traffic of
-// those loops. When the model offers a mobility.Population
-// (mobility.BulkStepper), ALL mutable agent state — not just positions —
-// lives in flat per-model slices: the world binds the population to its
-// X/Y view and steps it in batched range loops with no per-agent
-// interface call at all, then classifies the fresh positions into grid
-// buckets chunk-by-chunk while they are still cache-hot (the fused
-// advance→classify pass, internal/kernel.Buckets) and feeds the
+// those loops. ALL mutable agent state — not just positions — lives in
+// the model's mobility.Population, flat per-model slices: the world binds
+// the population to its X/Y view and steps it in batched range loops with
+// no per-agent interface call at all, then classifies the fresh positions
+// into grid buckets chunk-by-chunk while they are still cache-hot (the
+// fused advance→classify pass, internal/kernel.Buckets) and feeds the
 // precomputed bucket ids straight to the neighbor index's counting sort
-// (spatialindex.Index.RebuildXYCells) — no second per-agent sweep.
-// Models without the capability fall back to per-agent values bound to
-// their slice slot (mobility.SlotWriter), one interface call per agent
-// per step; both forms produce bit-identical trajectories
-// (see internal/mobility/soatest). X and Y expose the live slices (valid
-// snapshots only until the next Step/Reset); Positions allocates a point
-// snapshot for cold paths (traces, examples) that remains valid forever.
+// (spatialindex.Index.RebuildXYCells) — no second per-agent sweep. The
+// models' per-agent reference values (NewAgent) never enter a World;
+// internal/mobility/soatest holds every population to them bit for bit.
+// X and Y expose the live slices (valid snapshots only until the next
+// Step/Reset); Positions allocates a point snapshot for cold paths
+// (traces, examples) that remains valid forever.
 //
 // Every step ends with a full rebuild of the neighbor index, whatever the
 // model or speed: one index path, which is also the bit-identity
@@ -154,13 +152,11 @@ const seedStride = 0x9e3779b97f4a7c15
 type World struct {
 	params Params
 	model  mobility.Model
-	agents []mobility.Agent    // AoS agent values (nil when stepping a population)
-	pop    mobility.Population // SoA population (nil when stepping AoS agents)
-	cells  []int32             // fused classify output: per-agent bucket ids (population mode)
+	pop    mobility.Population // all mutable agent state; positions live in x/y
+	cells  []int32             // fused classify output: per-agent bucket ids
 	rngs   []*rand.Rand
 	pcgs   []*rand.PCG
 	x, y   []float64 // SoA positions, indexed by agent id
-	bound  bool      // every agent writes its slot itself (population or SlotWriter)
 	index  *spatialindex.Index
 	step   int
 	// catch forwards panics out of the parallel stepping workers onto the
@@ -206,44 +202,20 @@ func NewWorld(p Params, factory ModelFactory) (*World, error) {
 	w := &World{
 		params: p,
 		model:  model,
+		pop:    model.NewPopulation(p.N),
+		cells:  make([]int32, p.N),
 		rngs:   make([]*rand.Rand, p.N),
 		pcgs:   make([]*rand.PCG, p.N),
 		x:      make([]float64, p.N),
 		y:      make([]float64, p.N),
 		index:  ix,
-		bound:  true,
 	}
-	view := mobility.View{X: w.x, Y: w.y}
-	if bs, ok := model.(mobility.BulkStepper); ok {
-		// Population (SoA) mode: all agent state lives in flat slices,
-		// positions canonically in the view; no per-agent values exist.
-		// The cells buffer receives the fused advance→classify pass.
-		w.pop = bs.NewPopulation(p.N)
-		w.pop.Bind(view)
-		w.cells = make([]int32, p.N)
-		for i := range w.rngs {
-			// Independent per-agent PCG streams split from the world seed.
-			w.pcgs[i] = rand.NewPCG(p.Seed, uint64(i)+seedStride)
-			w.rngs[i] = rand.New(w.pcgs[i])
-			w.pop.InitAgent(i, w.rngs[i]) // publishes the initial position
-		}
-		w.index.RebuildXY(w.x, w.y)
-		return w, nil
-	}
-	w.agents = make([]mobility.Agent, p.N)
-	for i := range w.agents {
+	w.pop.Bind(mobility.View{X: w.x, Y: w.y})
+	for i := range w.rngs {
 		// Independent per-agent PCG streams split from the world seed.
 		w.pcgs[i] = rand.NewPCG(p.Seed, uint64(i)+seedStride)
 		w.rngs[i] = rand.New(w.pcgs[i])
-		a := model.NewAgent(w.rngs[i])
-		w.agents[i] = a
-		if sw, ok := a.(mobility.SlotWriter); ok {
-			sw.BindSlot(view, i) // publishes the initial position
-		} else {
-			w.bound = false
-			p := a.Pos()
-			w.x[i], w.y[i] = p.X, p.Y
-		}
+		w.pop.InitAgent(i, w.rngs[i]) // publishes the initial position
 	}
 	w.index.RebuildXY(w.x, w.y)
 	return w, nil
@@ -258,40 +230,11 @@ func NewWorld(p Params, factory ModelFactory) (*World, error) {
 // slices and the Index are rebuilt in place.
 func (w *World) Reset(seed uint64) {
 	w.params.Seed = seed
-	if w.pop != nil {
-		// Population mode: InitAgent re-draws slot i in place from the
-		// reseeded stream, consuming exactly the draws NewAgent would.
-		for i := range w.rngs {
-			w.pcgs[i].Seed(seed, uint64(i)+seedStride)
-			w.pop.InitAgent(i, w.rngs[i])
-		}
-		w.step = 0
-		w.index.RebuildXY(w.x, w.y)
-		return
-	}
-	rm, _ := w.model.(mobility.ReinitModel)
-	view := mobility.View{X: w.x, Y: w.y}
-	for i := range w.agents {
+	for i := range w.rngs {
+		// InitAgent re-draws slot i in place from the reseeded stream,
+		// consuming exactly the draws NewWorld's InitAgent did.
 		w.pcgs[i].Seed(seed, uint64(i)+seedStride)
-		if rm != nil && rm.ReinitAgent(w.agents[i], w.rngs[i]) {
-			// Slot binding survives in-place reinit; agents without one
-			// (only possible when the world holds non-SlotWriter agents)
-			// need their SoA slot refreshed by hand.
-			if !w.bound {
-				p := w.agents[i].Pos()
-				w.x[i], w.y[i] = p.X, p.Y
-			}
-			continue
-		}
-		a := w.model.NewAgent(w.rngs[i])
-		w.agents[i] = a
-		if sw, ok := a.(mobility.SlotWriter); ok {
-			sw.BindSlot(view, i)
-		} else {
-			w.bound = false
-			p := a.Pos()
-			w.x[i], w.y[i] = p.X, p.Y
-		}
+		w.pop.InitAgent(i, w.rngs[i])
 	}
 	w.step = 0
 	w.index.RebuildXY(w.x, w.y)
@@ -310,30 +253,19 @@ func (w *World) N() int { return len(w.x) }
 func (w *World) Time() int { return w.step }
 
 // Step advances every agent by one time unit and rebuilds the neighbor
-// index from the fresh positions. With Params.Workers > 1 the agent moves
-// run on that many goroutines; the result is bit-identical to sequential
-// stepping because agents are fully independent and each writes only its
-// own position slot.
+// index from the fresh positions, handing it the bucket ids the fused
+// advance→classify pass already computed. With Params.Workers > 1 the
+// agent moves run on that many goroutines; the result is bit-identical
+// to sequential stepping because agents are fully independent and each
+// writes only its own slots.
 func (w *World) Step() {
-	switch {
-	case w.pop != nil:
-		w.stepPop()
-	case w.params.Workers > 1 && len(w.agents) >= 2*w.params.Workers:
-		w.stepParallel()
-	case w.bound:
-		// Slot-bound agents publish their own position; one interface
-		// call per agent.
-		for _, a := range w.agents {
-			a.Step()
-		}
-	default:
-		for i, a := range w.agents {
-			a.Step()
-			p := a.Pos()
-			w.x[i], w.y[i] = p.X, p.Y
-		}
+	n := len(w.x)
+	if w.params.Workers > 1 && n >= 2*w.params.Workers {
+		w.advanceParallel()
+	} else {
+		w.advance(0, n)
 	}
-	w.syncIndex()
+	w.index.RebuildXYCells(w.x, w.y, w.cells)
 	w.step++
 	if w.stepHook != nil {
 		w.stepHook()
@@ -357,96 +289,35 @@ func (w *World) SetStepHook(h func()) { w.stepHook = h }
 // through memory between the advance and the classify.
 const fuseChunk = 1024
 
-// stepPop advances the population and runs the fused classify pass, so
-// the whole cells buffer is fresh when syncIndex hands it to the index.
-func (w *World) stepPop() {
-	n := len(w.x)
-	if w.params.Workers > 1 && n >= 2*w.params.Workers {
-		w.stepPopParallel()
-		return
-	}
-	for lo := 0; lo < n; lo += fuseChunk {
-		hi := lo + fuseChunk
-		if hi > n {
-			hi = n
-		}
-		w.pop.StepRange(lo, hi)
-		w.index.ClassifyInto(w.cells[lo:hi], w.x[lo:hi], w.y[lo:hi])
+// advance steps agents lo..hi-1 and runs the fused classify pass
+// over them, chunk by chunk, so their cells entries are fresh when Step
+// hands the buffer to the index.
+func (w *World) advance(lo, hi int) {
+	for clo := lo; clo < hi; clo += fuseChunk {
+		chi := min(clo+fuseChunk, hi)
+		w.pop.StepRange(clo, chi)
+		w.index.ClassifyInto(w.cells[clo:chi], w.x[clo:chi], w.y[clo:chi])
 	}
 }
 
-func (w *World) stepPopParallel() {
+// advanceParallel shards advance over Params.Workers goroutines. Shards
+// own disjoint index ranges, so the classify writes race-free into the
+// shared cells buffer.
+func (w *World) advanceParallel() {
 	workers := w.params.Workers
 	n := len(w.x)
 	chunk := (n + workers - 1) / workers
 	var wg sync.WaitGroup
 	shard := 0
 	for start := 0; start < n; start += chunk {
-		end := start + chunk
-		if end > n {
-			end = n
-		}
+		end := min(start+chunk, n)
 		sh := shard
 		shard++
 		wg.Add(1)
 		go func(sh, lo, hi int) {
 			defer wg.Done()
 			defer w.catch.Recover(sh)
-			for clo := lo; clo < hi; clo += fuseChunk {
-				chi := clo + fuseChunk
-				if chi > hi {
-					chi = hi
-				}
-				w.pop.StepRange(clo, chi)
-				// Shards own disjoint index ranges, so the classify
-				// writes race-free into the shared cells buffer.
-				w.index.ClassifyInto(w.cells[clo:chi], w.x[clo:chi], w.y[clo:chi])
-			}
-		}(sh, start, end)
-	}
-	wg.Wait()
-	w.catch.Rethrow()
-}
-
-// syncIndex rebuilds the neighbor index from the stepped positions. A
-// population world hands over the bucket ids its fused step already
-// computed; AoS worlds let the index classify.
-func (w *World) syncIndex() {
-	if w.pop != nil {
-		w.index.RebuildXYCells(w.x, w.y, w.cells)
-		return
-	}
-	w.index.RebuildXY(w.x, w.y)
-}
-
-func (w *World) stepParallel() {
-	workers := w.params.Workers
-	n := len(w.agents)
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	shard := 0
-	for start := 0; start < n; start += chunk {
-		end := start + chunk
-		if end > n {
-			end = n
-		}
-		sh := shard
-		shard++
-		wg.Add(1)
-		go func(sh, lo, hi int) {
-			defer wg.Done()
-			defer w.catch.Recover(sh)
-			if w.bound {
-				for i := lo; i < hi; i++ {
-					w.agents[i].Step()
-				}
-				return
-			}
-			for i := lo; i < hi; i++ {
-				w.agents[i].Step()
-				p := w.agents[i].Pos()
-				w.x[i], w.y[i] = p.X, p.Y
-			}
+			w.advance(lo, hi)
 		}(sh, start, end)
 	}
 	wg.Wait()
@@ -476,19 +347,8 @@ func (w *World) Positions() []geom.Point {
 	return out
 }
 
-// Agent returns agent i (for model-specific introspection such as turn
-// counters). Population-stepped worlds hold no per-agent values — the
-// state lives in the population's flat slices — so Agent returns nil for
-// them.
-func (w *World) Agent(i int) mobility.Agent {
-	if w.agents == nil {
-		return nil
-	}
-	return w.agents[i]
-}
-
-// Population returns the world's SoA population, or nil when the world
-// steps AoS agent values (for probe-based introspection and tests).
+// Population returns the world's SoA population (for probe-based
+// introspection and tests).
 func (w *World) Population() mobility.Population { return w.pop }
 
 // Index returns the neighbor index for the current step. It is valid until

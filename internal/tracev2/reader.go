@@ -76,9 +76,23 @@ func NewReader(r io.ReadSeeker) (*Reader, error) {
 }
 
 // scan walks the frame sequence from offset, verifying CRCs and frame
-// structure. It stops silently at a torn tail (short header or payload)
-// and errors on corruption in fully present frames.
+// structure. It stops silently at a torn tail (short header, or a payload
+// length running past the end of the file) and errors on corruption in
+// fully present frames. Payload buffers are sized only after the file
+// has shown it holds the bytes, so a forged length cannot make the
+// reader allocate more than the file's size.
 func (rd *Reader) scan(offset int64) error {
+	size, err := rd.r.Seek(0, io.SeekEnd)
+	if err != nil {
+		return fmt.Errorf("tracev2: %w", err)
+	}
+	if _, err := rd.r.Seek(offset, io.SeekStart); err != nil {
+		return fmt.Errorf("tracev2: %w", err)
+	}
+	// Every complete frame carries at least the flags byte plus one byte
+	// per coordinate (a delta frame of all-zero varints), so a frame
+	// shorter than 2N+1 bytes cannot belong to this header's N.
+	minPayload := 2*uint64(rd.info.N) + 1
 	var hdr [frameHdrSize]byte
 	buf := make([]byte, 0, 1<<16)
 	for {
@@ -97,6 +111,9 @@ func (rd *Reader) scan(offset int64) error {
 			crc:    binary.LittleEndian.Uint32(hdr[9:]),
 			offset: offset + frameHdrSize,
 		}
+		if int64(m.plen) > size-m.offset {
+			return nil // payload runs past EOF: uncommitted tail
+		}
 		if cap(buf) < int(m.plen) {
 			buf = make([]byte, m.plen)
 		}
@@ -114,6 +131,9 @@ func (rd *Reader) scan(offset int64) error {
 		}
 		if m.kind != kindKey && m.kind != kindDelta {
 			return fmt.Errorf("tracev2: frame at offset %d: unknown kind %d", offset, m.kind)
+		}
+		if uint64(m.plen) < minPayload {
+			return fmt.Errorf("tracev2: frame at offset %d: %d payload bytes cannot hold %d agents", offset, m.plen, rd.info.N)
 		}
 		if m.kind == kindDelta {
 			if len(rd.frames) == 0 {
@@ -159,9 +179,15 @@ type Replayer struct {
 }
 
 // Replayer returns a fresh replayer positioned before the first frame;
-// call Next (or Seek) to decode state.
+// call Next (or Seek) to decode state. Its columns are sized by the
+// header's N only when at least one committed frame vouches for it (scan
+// bounds N by the frame's length, and that by the file's size); a trace
+// without frames replays as empty.
 func (rd *Reader) Replayer() *Replayer {
-	n := rd.info.N
+	n := 0
+	if len(rd.frames) > 0 {
+		n = rd.info.N
+	}
 	return &Replayer{
 		rd:   rd,
 		step: -1,

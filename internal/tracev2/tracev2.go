@@ -59,8 +59,11 @@
 // frame that was cut short by a crash (header or payload extends past
 // EOF) is uncommitted — the reader silently stops before it — while a
 // fully present frame whose CRC does not match, or whose structure is
-// inconsistent (bad kind, non-contiguous delta step), is data corruption
-// and a hard error.
+// inconsistent (bad kind, non-contiguous delta step, a payload too short
+// to hold the header's N agents), is data corruption and a hard error.
+// A frame's payload length is checked against the bytes left in the file
+// before anything is allocated for it, so untrusted input cannot make the
+// reader allocate beyond the size of the file.
 package tracev2
 
 import (

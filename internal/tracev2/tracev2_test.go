@@ -2,9 +2,11 @@ package tracev2
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"math"
 	"math/rand/v2"
+	"runtime"
 	"testing"
 )
 
@@ -17,7 +19,7 @@ type synthRun struct {
 	newly    [][]int32
 }
 
-func makeRun(t *testing.T, n, steps int, withInformed bool, seed uint64) synthRun {
+func makeRun(t testing.TB, n, steps int, withInformed bool, seed uint64) synthRun {
 	t.Helper()
 	rng := rand.New(rand.NewPCG(seed, 7))
 	x := make([]float64, n)
@@ -63,7 +65,7 @@ func makeRun(t *testing.T, n, steps int, withInformed bool, seed uint64) synthRu
 	return run
 }
 
-func writeRun(t *testing.T, run synthRun, n, keyEvery int) []byte {
+func writeRun(t testing.TB, run synthRun, n, keyEvery int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf, RunInfo{N: n, L: 100, R: 5, V: 0.3, Seed: 1, Model: "test", KeyframeEvery: keyEvery})
@@ -313,4 +315,121 @@ func TestWriterZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("writer steady state allocates %.1f allocs/op, want 0", allocs)
 	}
+}
+
+// heapGrowth reports the bytes allocated while f runs.
+func heapGrowth(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// headerOnly returns the magic and header bytes of a trace for info,
+// built by hand: a Writer would allocate its N-sized state.
+func headerOnly(t *testing.T, info RunInfo) []byte {
+	t.Helper()
+	info.Schema = Schema
+	hdr, err := marshalInfo(info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := binary.LittleEndian.AppendUint32([]byte(magic), uint32(len(hdr)))
+	return append(out, hdr...)
+}
+
+// frameBytes returns the frame sequence of a trace, after its header.
+func frameBytes(data []byte) []byte {
+	return data[len(magic)+4+int(binary.LittleEndian.Uint32(data[len(magic):])):]
+}
+
+// TestOverlongFrameIsTornTail: a frame header whose payload length runs
+// past the end of the file is a torn tail, and the reader must learn
+// that from the file's size — not by first allocating the claimed
+// (up to 4 GiB) payload.
+func TestOverlongFrameIsTornTail(t *testing.T) {
+	const n, steps = 16, 10
+	run := makeRun(t, n, steps, true, 23)
+	data := writeRun(t, run, n, 4)
+	forged := make([]byte, frameHdrSize)
+	forged[0] = kindDelta
+	binary.LittleEndian.PutUint32(forged[1:], uint32(steps+1))
+	binary.LittleEndian.PutUint32(forged[5:], math.MaxUint32)
+	for _, tc := range []struct {
+		name       string
+		prefix     []byte
+		wantFrames int
+	}{
+		{"header-only", headerOnly(t, RunInfo{N: n}), 0},
+		{"after-frames", data, len(run.steps)},
+	} {
+		file := append(append([]byte(nil), tc.prefix...), forged...)
+		var rd *Reader
+		var err error
+		grew := heapGrowth(func() { rd, err = NewReader(bytes.NewReader(file)) })
+		if err != nil {
+			t.Fatalf("%s: overlong tail frame: %v, want a torn tail", tc.name, err)
+		}
+		if grew > 1<<20 {
+			t.Fatalf("%s: reader allocated %d bytes for a %d-byte file", tc.name, grew, len(file))
+		}
+		if rd.Frames() != tc.wantFrames {
+			t.Fatalf("%s: Frames() = %d, want %d", tc.name, rd.Frames(), tc.wantFrames)
+		}
+	}
+}
+
+// TestHeaderNBoundedByFrames: the header's N sizes the replay columns, so
+// no N is trusted beyond what the frames can hold. A complete frame
+// shorter than 2N+1 bytes is corruption, and a header without frames
+// allocates nothing N-sized.
+func TestHeaderNBoundedByFrames(t *testing.T) {
+	const n = 8
+	data := writeRun(t, makeRun(t, n, 5, false, 24), n, 2)
+	huge := headerOnly(t, RunInfo{N: 1 << 40})
+
+	inflated := append(append([]byte(nil), huge...), frameBytes(data)...)
+	if _, err := NewReader(bytes.NewReader(inflated)); err == nil {
+		t.Fatal("frames written for N=8 accepted under a header claiming N=2^40")
+	}
+
+	var rp *Replayer
+	grew := heapGrowth(func() {
+		rd, err := NewReader(bytes.NewReader(huge))
+		if err != nil {
+			t.Fatalf("frameless trace: %v", err)
+		}
+		rp = rd.Replayer()
+	})
+	if grew > 1<<20 {
+		t.Fatalf("frameless trace with N=2^40 allocated %d bytes", grew)
+	}
+	if err := rp.Next(); err != io.EOF {
+		t.Fatalf("Next on a frameless trace: %v, want io.EOF", err)
+	}
+}
+
+// FuzzReader feeds arbitrary bytes through NewReader and replays every
+// committed frame to EOF. Neither may panic; errors are fine. The seeds
+// are the round-trip, torn-tail and corruption tests' kinds of file.
+func FuzzReader(f *testing.F) {
+	const n = 6
+	data := writeRun(f, makeRun(f, n, 12, true, 25), n, 4)
+	f.Add(data)
+	f.Add(data[:len(data)-3]) // torn payload
+	f.Add(data[:len(data)/2]) // torn mid-file
+	f.Add(writeRun(f, makeRun(f, n, 6, false, 26), n, 3))
+	corrupt := append([]byte(nil), data...)
+	corrupt[len(corrupt)/2] ^= 0x40
+	f.Add(corrupt)
+	f.Fuzz(func(t *testing.T, file []byte) {
+		rd, err := NewReader(bytes.NewReader(file))
+		if err != nil {
+			return
+		}
+		rp := rd.Replayer()
+		for rp.Next() == nil {
+		}
+	})
 }
