@@ -12,7 +12,7 @@ TAGFLAG = $(if $(GOTAGS),-tags $(GOTAGS))
 .PHONY: ci ci-purego check fmt vet build test test-race test-scale test-trace test-bench cover fuzz-short test-fault test-service bench bench-allocs bench-json bench-compare docs clean clean-check
 
 # ci is the full local tier-1 gate: the hardware-independent checks plus
-# the fault-injection suite, the population-scale tiled-identity smoke,
+# the fault-injection suite, the population-scale parallel-identity smoke,
 # the end-to-end benchmark's smoke test, a short fuzz run beyond the
 # committed seed corpora, the timing smoke run and the ns/op regression
 # gate against the committed trajectory file (which self-disables on
@@ -55,20 +55,23 @@ test:
 test-race:
 	$(GO) test $(TAGFLAG) -race ./internal/core ./internal/sim ./internal/mobility/... ./internal/spatialindex
 
-# test-scale runs the opt-in 100k-agent tiled-vs-flat bit-identity smoke
-# (TestScaleBitIdentity): the small property grids cover every regime,
-# this one catches scratch-sizing and cursor bugs that only manifest
-# when each tile holds thousands of buckets. Seconds, not milliseconds,
-# hence the env gate instead of running under plain `go test ./...`.
+# test-scale runs the opt-in 100k-agent parallel-vs-sequential
+# bit-identity smoke (TestScaleBitIdentity): a flood at Workers 4 must
+# match the sequential flood step for step. The small property grids
+# cover every regime; this one catches shard-boundary and scratch-sizing
+# bugs that only manifest when each shard holds thousands of buckets. It
+# builds two 100k-agent worlds, hence the env gate instead of running
+# under plain `go test ./...`.
 test-scale:
 	FLOODSIM_SCALE_TEST=1 $(GO) test $(TAGFLAG) -run TestScaleBitIdentity ./internal/core/
 
 # test-trace gates the recording stack end to end: the tracev2 codec
 # property tests (round-trip, seek, torn-tail and corruption discipline,
 # writer zero-alloc) plus the public-API round-trip matrix — record a
-# real flood across tiled/parallel worlds at slow and fast agent speeds,
-# replay it, and require bit-identical positions, informed sets and
-# discovery order. -count=1 keeps the randomized legs honest across
+# real flood across sequential/parallel worlds at slow and fast agent
+# speeds, replay it, and require bit-identical positions, informed sets
+# and discovery order (plus a committed trace whose older header carries
+# a tile count). -count=1 keeps the randomized legs honest across
 # repeated ci runs on an unchanged tree.
 test-trace:
 	$(GO) test $(TAGFLAG) -count=1 ./internal/tracev2/
@@ -97,13 +100,14 @@ cover:
 # fuzz-short runs each fuzzer briefly past its committed seed corpus — a
 # cheap randomized sweep for kernel-vs-reference divergence and for
 # panics in the decoders of outside bytes (floodd job specs, trace
-# files) on every full ci run and on the native CI leg;
+# files, checkpoint journals reopened for append) on every full ci run and on the native CI leg;
 # `go test -fuzz <name>` without -fuzztime searches indefinitely.
 fuzz-short:
 	$(GO) test $(TAGFLAG) -run '^$$' -fuzz FuzzBucketsDifferential -fuzztime 15s ./internal/kernel/
 	$(GO) test $(TAGFLAG) -run '^$$' -fuzz FuzzMaskDifferential -fuzztime 15s ./internal/kernel/
 	$(GO) test $(TAGFLAG) -run '^$$' -fuzz FuzzJobSpec -fuzztime 15s ./internal/service/
 	$(GO) test $(TAGFLAG) -run '^$$' -fuzz FuzzReader -fuzztime 15s ./internal/tracev2/
+	$(GO) test $(TAGFLAG) -run '^$$' -fuzz FuzzOpenAppend -fuzztime 15s ./internal/checkpoint/
 
 # FAULTTAGS appends the faultinject tag to the active variant, so the
 # fault suite can run against either kernel build.

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	bench [-out BENCH_7.json] [-compare OLD.json] [-k N] [-allocs] [-scale]
+//	bench [-out BENCH_7.json] [-compare OLD.json] [-k N] [-allocs]
 //
 // Each entry reports ns/op, B/op and allocs/op as measured by
 // testing.Benchmark. With -k > 1 every benchmark is measured k times and
@@ -20,26 +20,13 @@
 // BENCH_3.json the delta-index one (that path has since been deleted),
 // BENCH_4.json the dirty-driven-flooding one, BENCH_5.json the vectorized
 // distance-kernel one, BENCH_6.json the SoA mobility-state trajectory
-// with the fused advance→classify pass, and BENCH_7.json — the tiled-
-// world trajectory — is what the gate compares against by default.
+// with the fused advance→classify pass, and BENCH_7.json — the
+// tiled-world one (that layout has since been deleted) — is what the
+// gate compares against by default.
 // mobility_advance_10k isolates the raw Population.StepRange kinematics
 // without any index work; classify_100k isolates the batched
 // position→bucket kernel (vectorized float→int32 conversion) that feeds
 // the fused pass.
-//
-// # Scale series (-scale)
-//
-// -scale appends the scale_ benchmark family, flat versus tiled
-// (sim.Params.Tiles) at a fixed worker count: 100k- and 1M-agent world
-// steps (the tiled counting sort's locality story), and budgeted whole
-// floods at 100k and 1M agents in the paper's sparse regime
-// (L = 2*sqrt(n), ~4 agents per bucket), where the tiled sweep's
-// whole-tile frontier skips beat the flat sweep's per-bucket skip scan
-// — the t4/t8 pair records the tile-count curve. These run minutes, not
-// seconds, so they are opt-in and excluded from the ordinary
-// `make bench` loop; the -compare gate only diffs benchmarks present in
-// both files, so trajectory files with and without the family stay
-// comparable.
 //
 // # Hardware comparability
 //
@@ -155,7 +142,6 @@ func main() {
 	compare := flag.String("compare", "", "previously committed BENCH_N.json to diff against; >20% ns/op regressions exit non-zero")
 	k := flag.Int("k", 0, "runs per benchmark; the reported number is the median run (0 = auto: 3 with -compare, else 1)")
 	allocs := flag.Bool("allocs", false, "run the hardware-independent zero-allocation gate instead of the timing benchmarks")
-	scale := flag.Bool("scale", false, "append the scale_ family: 100k/1M-agent flat-vs-tiled steps (minutes, not seconds)")
 	flag.Parse()
 	if *allocs {
 		if failures := runAllocGate(os.Stdout); failures > 0 {
@@ -199,29 +185,6 @@ func main() {
 		{"sweep_trials_e03", benchSweepTrials(true)},
 		{"sweep_trials_e03_fresh", benchSweepTrials(false)},
 	}
-	if *scale {
-		// Flat-vs-tiled at a fixed worker count: the flat entries are the
-		// baselines the tiled entries are judged against. The flood family
-		// (budgeted whole floods in the paper's sparse regime) is where
-		// the tiled sweep's frontier skips win on any hardware; the
-		// world-step family records the counting-sort locality story,
-		// which only pays off when the working set exceeds cache.
-		benches = append(benches, []struct {
-			name string
-			fn   func(b *testing.B)
-		}{
-			{"scale_world_step_100k_flat", benchWorldStepScale(100000, 0, scaleWorkers)},
-			{"scale_world_step_100k_t4", benchWorldStepScale(100000, 4, scaleWorkers)},
-			{"scale_world_step_1m_flat", benchWorldStepScale(1000000, 0, scaleWorkers)},
-			{"scale_world_step_1m_t8", benchWorldStepScale(1000000, 8, scaleWorkers)},
-			{"scale_flood_100k_flat", benchFloodScale(100000, 0, scaleWorkers)},
-			{"scale_flood_100k_t4", benchFloodScale(100000, 4, scaleWorkers)},
-			{"scale_flood_100k_t8", benchFloodScale(100000, 8, scaleWorkers)},
-			{"scale_flood_1m_flat", benchFloodScale(1000000, 0, scaleWorkers)},
-			{"scale_flood_1m_t8", benchFloodScale(1000000, 8, scaleWorkers)},
-		}...)
-	}
-
 	rep := Report{
 		Schema:     "manhattanflood/bench/v1",
 		GoVersion:  runtime.Version(),
@@ -454,84 +417,6 @@ func benchFloodStep(n int, chaining bool) func(b *testing.B) {
 	}
 }
 
-// scaleWorkers is the fixed goroutine budget of every scale_ entry, so
-// flat-vs-tiled differences measure the tiled data layout and the
-// whole-tile frontier skips, not a different degree of parallelism. It
-// is 1 because the committed baselines come from a single-core box,
-// where extra workers only add scheduling noise; on a multi-core box,
-// raise it and re-record (the per-tile passes parallelize).
-const scaleWorkers = 1
-
-// benchWorldStepScale measures a world step at population scale, flat
-// (tiles = 0) or tiled. V/R = 0.075 keeps the index on the counting-sort
-// path — the regime where the flat sort's scattered writes fall out of
-// cache and the tiled two-level sort's per-tile working set stays
-// resident. (On the current reference box the entire working set fits
-// in the 260MB L3 and these entries tie; they are in the series to
-// catch regressions and to show the crossover on smaller-cache
-// hardware.)
-func benchWorldStepScale(n, tiles, workers int) func(b *testing.B) {
-	return func(b *testing.B) {
-		l := math.Sqrt(float64(n))
-		w, err := sim.NewWorld(sim.Params{N: n, L: l, R: 4, V: 0.3, Seed: 1,
-			Workers: workers, Tiles: tiles}, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		w.Step() // warm every scratch buffer
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			w.Step()
-		}
-	}
-}
-
-// scaleFloodBudget caps one flood op of the scale series. At L = 2*sqrt(n)
-// the frontier needs ~L/(2R)*sqrt(2) rounds to the corners plus a
-// straggler tail, so 512 rounds covers essentially the whole flood at
-// both populations while bounding the op against mobility-limited tails.
-const scaleFloodBudget = 512
-
-// benchFloodScale measures one whole flood (budgeted at scaleFloodBudget
-// rounds) at population scale in the paper's sparse regime: L = 2*sqrt(n)
-// (~4 agents per bucket — near the connectivity threshold, where flooding
-// time is actually interesting) and slow mobility V = 0.1. This is the
-// regime where the tiled sweep's whole-tile skips pay: early rounds skip
-// the tiles ahead of the frontier wholesale, late rounds skip the
-// saturated interior, while the flat sweep's fixed O(buckets) pass —
-// with n/4 buckets, comparable to the O(n) mobility terms — runs every
-// round. The world re-seeds outside the timer, so the op is the flood
-// itself (sweeps + world steps), not the setup. Every op replays the
-// same seed: per-seed flooding variance at this density is larger than
-// the tiled-vs-flat effect, so flat and tiled configs must flood the
-// exact same trajectory to be comparable.
-func benchFloodScale(n, tiles, workers int) func(b *testing.B) {
-	return func(b *testing.B) {
-		l := 2 * math.Sqrt(float64(n))
-		w, err := sim.NewWorld(sim.Params{N: n, L: l, R: 4, V: 0.1, Seed: 1,
-			Workers: workers, Tiles: tiles}, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		f, err := core.NewFlooding(w, w.NearestAgent(geom.Pt(l/2, l/2)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			w.Reset(1)
-			if err := f.Reset(f.Source()); err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
-			for s := 0; s < scaleFloodBudget && !f.Done(); s++ {
-				f.Step()
-			}
-		}
-	}
-}
-
 // benchClassify measures the batched position→bucket classify
 // (kernel.Buckets behind Index.ClassifyInto): the vectorized float→int32
 // conversion that feeds the world's fused advance→classify pass.
@@ -723,8 +608,8 @@ func newTraceWriteOp(n int) (op func() error, err error) {
 
 // benchTraceWrite measures the columnar trace writer's per-step cost in
 // isolation at population scale — the budget the <10% recording-overhead
-// target is judged against (compare with scale_world_step_100k_flat /
-// scale_flood_100k_flat for the uninstrumented step).
+// target is judged against (compare with world_step_10k for the
+// uninstrumented step).
 func benchTraceWrite(n int) func(b *testing.B) {
 	return func(b *testing.B) {
 		op, err := newTraceWriteOp(n)
@@ -847,21 +732,11 @@ func runAllocGate(w io.Writer) int {
 			}
 			return world.Step, world.Step, nil
 		}},
-		{name: "world_step_10k_t4", warmups: 30, setup: func() (func(), func(), error) {
-			world, err := sim.NewWorld(sim.Params{N: 10000, L: 100, R: 4, V: 0.3, Seed: 1, Tiles: 4}, nil)
-			if err != nil {
-				return nil, nil, err
-			}
-			return world.Step, world.Step, nil
-		}},
 		{name: "flood_step_4k", warmups: 40, setup: func() (func(), func(), error) {
-			return newAllocFlood(4000, false, 0)
+			return newAllocFlood(4000, false)
 		}},
 		{name: "flood_step_4k_chained", warmups: 40, setup: func() (func(), func(), error) {
-			return newAllocFlood(4000, true, 0)
-		}},
-		{name: "flood_step_4k_t4", warmups: 40, setup: func() (func(), func(), error) {
-			return newAllocFlood(4000, false, 4)
+			return newAllocFlood(4000, true)
 		}},
 		{name: "kgossip_step_4k", warmups: 40, setup: func() (func(), func(), error) {
 			l := math.Sqrt(4000.0)
@@ -916,9 +791,9 @@ func runAllocGate(w io.Writer) int {
 }
 
 // newAllocFlood builds a steady-state flood step op for the alloc gate.
-func newAllocFlood(n int, chained bool, tiles int) (func(), func(), error) {
+func newAllocFlood(n int, chained bool) (func(), func(), error) {
 	l := math.Sqrt(float64(n))
-	world, err := sim.NewWorld(sim.Params{N: n, L: l, R: 4, V: 0.3, Seed: 1, Tiles: tiles}, nil)
+	world, err := sim.NewWorld(sim.Params{N: n, L: l, R: 4, V: 0.3, Seed: 1}, nil)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -7,13 +7,13 @@
 //	floodsim [-n 4000] [-l 0] [-r 5] [-v 0.3] [-seed 1]
 //	         [-model mrwp|rwp|walk|direction] [-source center|corner|random]
 //	         [-max-steps 100000] [-chaining] [-series] [-timeout 1m]
-//	         [-tiles 0] [-workers 0] [-trace run.mft]
+//	         [-workers 0] [-trace run.mft]
 //
-// -l 0 (default) uses the paper's standard L = sqrt(n). -tiles K runs
-// the tiled world (K x K tiles, bit-identical results, worthwhile from
-// ~100k agents — see the 1M-agent quickstart in README.md). -trace
-// records the run to a columnar trace file replayable with cmd/traceql
-// (see README.md, "Recording and replaying runs").
+// -l 0 (default) uses the paper's standard L = sqrt(n). -workers W
+// shards agent stepping and the flooding sweep over W goroutines
+// (bit-identical results). -trace records the run to a columnar trace
+// file replayable with cmd/traceql (see README.md, "Recording and
+// replaying runs").
 package main
 
 import (
@@ -43,8 +43,7 @@ func main() {
 	chaining := flag.Bool("chaining", false, "within-step epidemic relaying (ablation)")
 	series := flag.Bool("series", false, "print the informed-count time series")
 	timeout := flag.Duration("timeout", 0, "wall-clock budget for the run (0 = none); on expiry the run stops like an interrupt")
-	tiles := flag.Int("tiles", 0, "tiles per side for the tiled world (0 = flat; results are bit-identical)")
-	workers := flag.Int("workers", 0, "worker goroutines for stepping and tiled passes (0 = sequential)")
+	workers := flag.Int("workers", 0, "worker goroutines for agent stepping and the flooding sweep (0 = sequential)")
 	tracePath := flag.String("trace", "", "record the run to this columnar trace file (analyze with traceql)")
 	flag.Parse()
 
@@ -53,7 +52,7 @@ func main() {
 		side = math.Sqrt(float64(*n))
 	}
 	cfg := manhattan.Config{N: *n, L: side, R: *r, V: *v, Seed: *seed,
-		Tiles: *tiles, Workers: *workers}
+		Workers: *workers}
 	switch *model {
 	case "mrwp":
 		cfg.Model = manhattan.MRWP

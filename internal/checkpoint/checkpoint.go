@@ -24,7 +24,9 @@
 //     O(1) durability instead of an O(journal) rewrite per trial. A crash
 //     mid-append can leave a truncated final line; the loader treats an
 //     unterminated, unparsable tail as an uncommitted trial and drops it
-//     (OpenAppend additionally truncates it away before appending).
+//     (OpenAppend additionally truncates it away before appending). An
+//     unterminated tail that does parse stands, and OpenAppend ends it
+//     with a newline before appending.
 //     Corruption anywhere before the final line is still a hard error —
 //     checkpointed work is never silently discarded.
 //
@@ -149,7 +151,22 @@ func OpenAppend(path string) (*Journal, error) {
 		f.Close()
 		return nil, fmt.Errorf("checkpoint: seeking journal: %w", err)
 	}
-	if goodLen == 0 {
+	if goodLen > 0 {
+		// A crash can also tear a record (or the header) just before its
+		// newline: the line parses and stands, but the next append must
+		// start on a line of its own.
+		var last [1]byte
+		if _, err := f.ReadAt(last[:], goodLen-1); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("checkpoint: reading journal tail: %w", err)
+		}
+		if last[0] != '\n' {
+			if _, err := f.Write([]byte{'\n'}); err != nil {
+				f.Close()
+				return nil, fmt.Errorf("checkpoint: terminating journal tail: %w", err)
+			}
+		}
+	} else {
 		// Fresh journal: commit the header and make the new file durable
 		// before any entry refers to it.
 		if _, err := fmt.Fprintf(f, "{\"schema\":%q}\n", schema); err != nil {

@@ -328,3 +328,74 @@ func TestConcurrentRecord(t *testing.T) {
 		t.Errorf("Len = %d, want 800", j.Len())
 	}
 }
+
+// FuzzOpenAppend feeds arbitrary bytes to OpenAppend as an existing
+// journal. It must either return an error or return a journal that
+// accepts one RecordDurable; after Close, a fresh Open must hold every
+// entry OpenAppend loaded plus the new one. The seeds are the journals
+// of TestTruncatedTailIsUncommittedTrial, TestTruncatedHeaderIsEmptyJournal
+// and TestOpenRejectsCorruptJournal.
+func FuzzOpenAppend(f *testing.F) {
+	seedPath := filepath.Join(f.TempDir(), "seed.jsonl")
+	j, err := OpenAppend(seedPath)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := j.RecordDurable(unit("E03", 0, i), Result{Completed: true, Time: 10 + i}); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		f.Fatal(err)
+	}
+	valid, err := os.ReadFile(seedPath)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add(valid[:len(valid)-9]) // torn final entry
+	f.Add([]byte(`{"sche`))     // torn header
+	f.Add([]byte("{\"schema\":\"something/else\"}\n"))
+	f.Add([]byte("{\"schema\":\"manhattanflood/checkpoint/v1\"}\n{not json\n"))
+
+	newUnit := Unit{Experiment: "fuzz", Point: -1, Trial: -1, Seed: 1, Spec: "appended"}
+	newResult := Result{Completed: true, Time: 7, CZTime: -1, SuburbLag: -1, Informed: 3, N: 3}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "journal.jsonl")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, err := OpenAppend(path)
+		if err != nil {
+			return
+		}
+		loaded := j.Entries()
+		if err := j.RecordDurable(newUnit, newResult); err != nil {
+			t.Fatalf("RecordDurable: %v", err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		re, err := Open(path)
+		if err != nil {
+			t.Fatalf("reopening the appended journal: %v", err)
+		}
+		want := 1
+		for _, e := range loaded {
+			if e.Unit == newUnit {
+				continue
+			}
+			want++
+			if got, ok := re.Lookup(e.Unit); !ok || got != e.Result {
+				t.Fatalf("loaded entry %+v reads back as %+v, %v", e, got, ok)
+			}
+		}
+		if got, ok := re.Lookup(newUnit); !ok || got != newResult {
+			t.Fatalf("appended entry reads back as %+v, %v", got, ok)
+		}
+		if re.Len() != want {
+			t.Fatalf("reopened journal holds %d entries, want %d", re.Len(), want)
+		}
+	})
+}

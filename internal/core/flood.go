@@ -39,17 +39,6 @@
 // order, which is exactly the sequential bucket order, so the result is
 // bit-identical to the sequential sweep.
 //
-// On a tiled world (sim.Params.Tiles, spatialindex.Tiling) the sweep
-// shards by tile instead: each tile sweeps its own bucket rectangle —
-// reading its neighbors' border rows (the "ghost spans") straight out of
-// the shared CSR, which tile handoff keeps bit-identical to the flat
-// index — and a per-tile uninformed-occupancy counter skips fully
-// informed tiles wholesale, before any per-bucket load. Per-tile hit
-// buffers record a per-row offset table, and the merge concatenates the
-// row fragments in global bucket-row order, so the merged hit list is
-// bit-identical — same ids in the same order — to the flat sweep at any
-// tile count and worker count.
-//
 // The WithinStepChaining ablation is a BFS from the step's newly informed
 // frontier instead of repeated full rescans: each dequeued agent scans its
 // 3x3 block for uninformed neighbors, informs them, and enqueues them. The
@@ -101,26 +90,6 @@ type Flooding struct {
 	level         []int32   // scratch: next chaining BFS level (parallel mode)
 	shards        [][]int32 // scratch: per-worker hit buffers (chaining: CSR positions)
 	uninfBits     []uint64  // scratch: uninformed-by-CSR-position bitmap (chaining closure)
-
-	// Tiled sweep state (sweepTiled; worlds with sim.Params.Tiles): the
-	// per-tile uninformed and informed occupancies drive the two
-	// whole-tile skips — a fully informed tile has no candidates, and a
-	// tile whose 9-tile neighborhood holds no informed agent has no
-	// transmitter in range of any of its buckets' blocks — and the
-	// per-tile hit buffers plus their per-row offset tables let the merge
-	// rebuild the flat sweep's exact bucket-major hit order.
-	tileUninf  []int32
-	tileInf    []int32
-	tileShards [][]int32
-	tileRowOff [][]int32
-
-	// Per-sweep inputs for sweepOneTile/tileNoTransmitter. Methods plus
-	// scratch fields instead of per-call closures: a closure referenced by
-	// the parallel branch's goroutine escapes and costs an allocation per
-	// step even on the sequential path.
-	swIx   *spatialindex.Index
-	swTl   *spatialindex.Tiling
-	swCols int
 
 	// fresh holds the ids informed during the most recent Step (sweep
 	// hits, then chained-in agents; the source after a reset). It backs
@@ -284,55 +253,19 @@ func (f *Flooding) Step() int {
 	ix := f.w.Index()
 
 	// Per-bucket uninformed occupancy: a bucket row whose population is
-	// entirely uninformed cannot contain a transmitter. On a tiled world
-	// the same pass also accumulates the per-tile totals that let the
-	// tiled sweep skip fully informed tiles wholesale.
+	// entirely uninformed cannot contain a transmitter.
 	if len(f.bucketUninf) != ix.NumCells() {
 		f.bucketUninf = make([]int32, ix.NumCells())
 	} else {
 		clear(f.bucketUninf)
 	}
-	tiling := ix.Tiling()
-	if tiling != nil {
-		nt := tiling.NumTiles()
-		if len(f.tileUninf) != nt {
-			f.tileUninf = make([]int32, nt)
-			f.tileInf = make([]int32, nt)
-		}
-		for _, i := range f.uninformed {
-			f.bucketUninf[ix.Cell(int(i))]++
-		}
-		// Per-tile uninformed occupancy summed from the bucket counters
-		// (O(buckets) sequential adds — cheaper than a TileOfBucket lookup
-		// per uninformed agent, which is O(n) while the flood is young) and
-		// informed occupancy = CSR row-span occupancy - uninformed
-		// (O(K*cols), not O(n)). The sweep uses them for the whole-tile
-		// skips.
-		for t := 0; t < nt; t++ {
-			x0, x1, y0, y1 := tiling.TileBounds(t)
-			occ, uninf := int32(0), int32(0)
-			for by := y0; by <= y1; by++ {
-				lo, hi := ix.RowSpanBounds(by, x0, x1)
-				occ += hi - lo
-				row := f.bucketUninf[by*ix.Cols()+x0 : by*ix.Cols()+x1+1]
-				for _, u := range row {
-					uninf += u
-				}
-			}
-			f.tileUninf[t] = uninf
-			f.tileInf[t] = occ - uninf
-		}
-	} else {
-		for _, i := range f.uninformed {
-			f.bucketUninf[ix.Cell(int(i))]++
-		}
+	for _, i := range f.uninformed {
+		f.bucketUninf[ix.Cell(int(i))]++
 	}
 
 	f.newlyInformed = f.newlyInformed[:0]
 	workers := f.w.Params().Workers
 	switch {
-	case tiling != nil:
-		f.sweepTiled(ix, tiling)
 	case workers > 1 && len(f.uninformed) >= 2*workers:
 		f.sweepParallel(ix, workers)
 	default:
@@ -589,133 +522,6 @@ func (f *Flooding) sweepParallel(ix *spatialindex.Index, workers int) {
 	f.catch.Rethrow()
 	for s := 0; s < nsh; s++ {
 		f.newlyInformed = append(f.newlyInformed, f.shards[s]...)
-	}
-}
-
-// sweepTiled runs the transmission round tile by tile on a tiled world.
-// Each tile sweeps the bucket rows of its own rectangle with the shared
-// per-bucket sweep — candidates near a tile edge read their neighbors'
-// border rows (the ghost spans) directly out of the shared CSR — and a
-// tile whose uninformed occupancy is zero is skipped before a single
-// bucket counter is loaded; in the paper's Suburb phase, when whole
-// regions are saturated, that eliminates most of the grid per round.
-// Tiles run on the tiling's worker pool; each appends hits to its own
-// buffer and records where every bucket row's hits start, and the merge
-// then concatenates the row fragments in global bucket-row order — tile
-// columns left to right within each row — which is exactly the flat
-// sweep's bucket-major order, so the hit list (ids AND order) is
-// bit-identical to the untiled sweep.
-func (f *Flooding) sweepTiled(ix *spatialindex.Index, tl *spatialindex.Tiling) {
-	nt := tl.NumTiles()
-	k := tl.K()
-	cols := ix.Cols()
-	if len(f.tileShards) < nt {
-		f.tileShards = append(f.tileShards, make([][]int32, nt-len(f.tileShards))...)
-		f.tileRowOff = append(f.tileRowOff, make([][]int32, nt-len(f.tileRowOff))...)
-	}
-	f.swIx, f.swTl, f.swCols = ix, tl, cols
-	workers := tl.Workers()
-	if workers > nt {
-		workers = nt
-	}
-	if workers > 1 {
-		chunk := (nt + workers - 1) / workers
-		var wg sync.WaitGroup
-		nsh := 0
-		for start := 0; start < nt; start += chunk {
-			end := start + chunk
-			if end > nt {
-				end = nt
-			}
-			sh := nsh
-			nsh++
-			wg.Add(1)
-			go func(sh, lo, hi int) {
-				defer wg.Done()
-				defer f.catch.Recover(sh)
-				for t := lo; t < hi; t++ {
-					f.sweepOneTile(t)
-				}
-			}(sh, start, end)
-		}
-		wg.Wait()
-		f.catch.Rethrow()
-	} else {
-		for t := 0; t < nt; t++ {
-			f.sweepOneTile(t)
-		}
-	}
-	f.swIx, f.swTl = nil, nil
-	// Bucket-major merge: for every global bucket row, append each tile
-	// column's fragment of that row, left to right.
-	f.mergeTileRows(tl, cols, k)
-}
-
-// tileNoTransmitter reports whether tile t's 9-tile neighborhood holds no
-// informed agent. Every bucket's 3x3 block reaches at most one bucket
-// beyond the tile rectangle — inside the adjacent tiles — so a zero
-// neighborhood means no transmitter is in range of any candidate in t:
-// the whole tile is ahead of the flooding frontier and can be skipped
-// without loading a single bucket counter. This is the skip the flat
-// sweep cannot afford per bucket (it would re-derive transmitter
-// presence 3x3 buckets at a time); amortized over a tile it is nine
-// counter loads for ~cols^2/K^2 buckets.
-func (f *Flooding) tileNoTransmitter(t int) bool {
-	k := f.swTl.K()
-	tx, ty := t%k, t/k
-	for yy := ty - 1; yy <= ty+1; yy++ {
-		if yy < 0 || yy >= k {
-			continue
-		}
-		for xx := tx - 1; xx <= tx+1; xx++ {
-			if xx < 0 || xx >= k {
-				continue
-			}
-			if f.tileInf[yy*k+xx] > 0 {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// sweepOneTile sweeps tile t's bucket rows into its hit buffer and row
-// offsets. Inputs travel through swIx/swTl/swCols (see those fields).
-func (f *Flooding) sweepOneTile(t int) {
-	ix, tl, cols := f.swIx, f.swTl, f.swCols
-	dst := f.tileShards[t][:0]
-	off := f.tileRowOff[t][:0]
-	x0, x1, y0, y1 := tl.TileBounds(t)
-	if f.tileUninf[t] == 0 || f.tileNoTransmitter(t) {
-		// Fully informed tile (no candidates) or fully ahead of the
-		// frontier (no transmitter in range): no hits can originate
-		// here. Publish empty row fragments so the merge stays uniform.
-		for by := y0; by <= y1+1; by++ {
-			off = append(off, 0)
-		}
-	} else {
-		for by := y0; by <= y1; by++ {
-			off = append(off, int32(len(dst)))
-			dst = f.sweep(ix, by*cols+x0, by*cols+x1+1, dst)
-		}
-		off = append(off, int32(len(dst)))
-	}
-	f.tileShards[t] = dst
-	f.tileRowOff[t] = off
-}
-
-// mergeTileRows concatenates the per-tile row fragments in global
-// bucket-major order into newlyInformed.
-func (f *Flooding) mergeTileRows(tl *spatialindex.Tiling, cols, k int) {
-	for by := 0; by < cols; by++ {
-		ty := tl.TileOfBucket(by*cols) / k
-		for tx := 0; tx < k; tx++ {
-			t := ty*k + tx
-			_, _, y0, _ := tl.TileBounds(t)
-			off := f.tileRowOff[t]
-			r := by - y0
-			f.newlyInformed = append(f.newlyInformed, f.tileShards[t][off[r]:off[r+1]]...)
-		}
 	}
 }
 

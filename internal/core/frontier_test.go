@@ -74,6 +74,34 @@ func (r *refFlood) step() int {
 	return newly
 }
 
+// requireFloodsIdentical fails unless got and want hold the same informed
+// set and count and informed the same ids in the same order during their
+// most recent step (LastStepNewlyInformed: sweep hits in bucket-major
+// order, then chained-in agents in BFS order).
+func requireFloodsIdentical(t *testing.T, step int, got, want *Flooding) {
+	t.Helper()
+	if got.InformedCount() != want.InformedCount() {
+		t.Fatalf("step %d: informed count %d, want %d",
+			step, got.InformedCount(), want.InformedCount())
+	}
+	for i := 0; i < want.w.N(); i++ {
+		if got.IsInformed(i) != want.IsInformed(i) {
+			t.Fatalf("step %d: agent %d informed=%v, want %v",
+				step, i, got.IsInformed(i), want.IsInformed(i))
+		}
+	}
+	gn, wn := got.LastStepNewlyInformed(), want.LastStepNewlyInformed()
+	if len(gn) != len(wn) {
+		t.Fatalf("step %d: %d newly informed, want %d", step, len(gn), len(wn))
+	}
+	for k := range wn {
+		if gn[k] != wn[k] {
+			t.Fatalf("step %d: newly informed[%d] = %d, want %d (discovery order must match)",
+				step, k, gn[k], wn[k])
+		}
+	}
+}
+
 // The frontier engine (occupancy-skip bucket sweep + BFS chaining
 // closure) must produce bit-identical informed sets to the brute-force
 // AoS reference flood, step by step, across seeds, population sizes, the

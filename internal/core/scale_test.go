@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"os"
 	"testing"
@@ -10,18 +9,19 @@ import (
 	"manhattanflood/internal/sim"
 )
 
-// TestScaleBitIdentity is the population-scale leg of the tiled == flat
-// property: a 100k-agent flood stepped on a flat world and on tiled
-// worlds (K ∈ {4, 8}, serial and sharded) must agree bit-for-bit — same
-// informed sets, same newlyInformed order — for every step of the
-// opening flood phase. The small-world property tests cover the
-// regime × tile × worker grid; this one exists because the counting
-// sort's scratch sizing, the tile-segment cursors, and the frontier
-// skips all behave differently when the working set is thousands of
-// buckets per tile, and a bug that only manifests at scale would slip
-// past the small grids.
+// TestScaleBitIdentity is the population-scale leg of the parallel ==
+// sequential property: a 100k-agent flood at Workers 4 (parallel agent
+// advance and parallel sweep, the configuration sparse_flood_100k runs
+// at Workers = nproc) must agree bit-for-bit with the sequential flood —
+// same informed set and the same LastStepNewlyInformed order — at every
+// step of the opening flood phase. The small-world property tests cover
+// the regime × worker grid; this one exists because the sweep's shard
+// boundaries, the counting sort's scratch sizing and the step's chunked
+// advance behave differently when every shard holds thousands of
+// buckets, and a bug that only manifests at scale would slip past the
+// small grids.
 //
-// It costs seconds, not milliseconds, so it is opt-in: set
+// It builds two 100k-agent worlds, so it is opt-in: set
 // FLOODSIM_SCALE_TEST=1 (CI runs it via `make test-scale`).
 func TestScaleBitIdentity(t *testing.T) {
 	if os.Getenv("FLOODSIM_SCALE_TEST") == "" {
@@ -30,44 +30,34 @@ func TestScaleBitIdentity(t *testing.T) {
 	const n = 100000
 	const steps = 12
 	l := math.Sqrt(float64(n))
-	base := sim.Params{N: n, L: l, R: 4, V: 0.3, Seed: 42}
+	seqP := sim.Params{N: n, L: l, R: 4, V: 0.3, Seed: 42}
+	parP := seqP
+	parP.Workers = 4
 
-	flatW, err := sim.NewWorld(base, nil)
+	seqW, err := sim.NewWorld(seqP, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := flatW.NearestAgent(geom.Pt(l/2, l/2))
-	flatF, err := NewFlooding(flatW, src)
+	parW, err := sim.NewWorld(parP, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	type cfg struct{ tiles, workers int }
-	for _, c := range []cfg{{4, 0}, {8, 0}, {8, 4}} {
-		t.Run(fmt.Sprintf("tiles=%d/workers=%d", c.tiles, c.workers), func(t *testing.T) {
-			p := base
-			p.Tiles = c.tiles
-			p.Workers = c.workers
-			w, err := sim.NewWorld(p, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			f, err := NewFlooding(w, src)
-			if err != nil {
-				t.Fatal(err)
-			}
-			flatW.Reset(base.Seed)
-			if err := flatF.Reset(src); err != nil {
-				t.Fatal(err)
-			}
-			for s := 0; s < steps && !flatF.Done(); s++ {
-				nf := flatF.Step()
-				nt := f.Step()
-				if nf != nt {
-					t.Fatalf("step %d: tiled informed %d agents, flat %d", s, nt, nf)
-				}
-				requireFloodsIdentical(t, s, f, flatF)
-			}
-		})
+	src := seqW.NearestAgent(geom.Pt(l/2, l/2))
+	seqF, err := NewFlooding(seqW, src)
+	if err != nil {
+		t.Fatal(err)
 	}
+	parF, err := NewFlooding(parW, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s := 0; s < steps && !seqF.Done(); s++ {
+		ns := seqF.Step()
+		np := parF.Step()
+		if ns != np {
+			t.Fatalf("step %d: parallel informed %d agents, sequential %d", s, np, ns)
+		}
+		requireFloodsIdentical(t, s, parF, seqF)
+	}
+	t.Logf("%d of %d agents informed after %d steps", seqF.InformedCount(), n, steps)
 }

@@ -70,15 +70,6 @@ type Params struct {
 	// stream and writes only its own slot, parallel stepping is exactly
 	// deterministic and bit-identical to sequential stepping.
 	Workers int
-	// Tiles, when positive, partitions the torus into Tiles x Tiles tiles
-	// and maintains the neighbor index with tile-parallel, cache-resident
-	// passes (spatialindex.Tiling) — the scaling mode for populations past
-	// ~10^5 agents, where the flat counting sort's working set falls out
-	// of cache. The tile count is clamped to the bucket grid. Tiled and
-	// flat worlds are bit-identical at any Tiles and Workers value (same
-	// positions, same index state, same flooding outcome); Tiles only
-	// changes how the state is computed. 0 keeps the flat index.
-	Tiles int
 }
 
 // Validate reports whether the parameters are usable.
@@ -97,9 +88,6 @@ func (p Params) Validate() error {
 	}
 	if p.Workers < 0 {
 		return fmt.Errorf("sim: Workers must be non-negative, got %d", p.Workers)
-	}
-	if p.Tiles < 0 {
-		return fmt.Errorf("sim: Tiles must be non-negative, got %d", p.Tiles)
 	}
 	return nil
 }
@@ -189,15 +177,6 @@ func NewWorld(p Params, factory ModelFactory) (*World, error) {
 	ix, err := spatialindex.New(p.L, p.R)
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
-	}
-	if p.Tiles > 0 {
-		workers := p.Workers
-		if workers < 1 {
-			workers = 1
-		}
-		if _, err := ix.EnableTiling(p.Tiles, workers); err != nil {
-			return nil, fmt.Errorf("sim: %w", err)
-		}
 	}
 	w := &World{
 		params: p,

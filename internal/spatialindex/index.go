@@ -73,11 +73,6 @@ type Index struct {
 	cursor []int32   // counting-sort scratch
 	xs, ys []float64 // id-indexed coordinate copies
 	cx, cy []float64 // bucket-major coordinates, parallel to ids
-
-	// tiling, when non-nil, reroutes the counting sort through
-	// tile-parallel passes (see EnableTiling in tiling.go). The resulting
-	// index state is bit-identical either way.
-	tiling *Tiling
 }
 
 // Span is one contiguous CSR range: parallel id and coordinate slices
@@ -187,11 +182,6 @@ func (ix *Index) RebuildXYCells(xs, ys []float64, cells []int32) {
 	ix.ensure(n)
 	copy(ix.xs, xs)
 	copy(ix.ys, ys)
-	if tl := ix.tiling; tl != nil {
-		copy(ix.cellOf, cells)
-		tl.rebuild()
-		return
-	}
 	starts := ix.starts
 	clear(starts)
 	cellOf := ix.cellOf
@@ -220,10 +210,6 @@ func (ix *Index) Rebuild(pts []geom.Point) {
 // count pass then reads the ids back as a sequential int32 stream.
 func (ix *Index) rebuild() {
 	ix.ClassifyInto(ix.cellOf, ix.xs, ix.ys)
-	if tl := ix.tiling; tl != nil {
-		tl.rebuild()
-		return
-	}
 	starts := ix.starts
 	clear(starts)
 	for _, c := range ix.cellOf {

@@ -102,9 +102,10 @@ const DefaultKeyframeEvery = 64
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // RunInfo is the trace header: everything needed to interpret the frames
-// and to reproduce the run that wrote them (Config + seed + kernel path +
-// tile split). It is stored as JSON so the header survives format
-// evolution that only adds fields.
+// and to reproduce the run that wrote them (Config + seed + kernel path).
+// It is stored as JSON so the header survives format evolution: fields a
+// reader does not know (such as the "tiles" count older writers stored)
+// are ignored.
 type RunInfo struct {
 	// Schema identifies the format ("manhattanflood/trace/v2").
 	Schema string `json:"schema"`
@@ -118,10 +119,9 @@ type RunInfo struct {
 	Seed uint64  `json:"seed"`
 	// Model names the mobility model ("mrwp", "rwp", ...).
 	Model string `json:"model"`
-	// Workers and Tiles record the parallel/tiled configuration (results
-	// are bit-identical across them; recorded for provenance).
+	// Workers records the parallel configuration (results are
+	// bit-identical across worker counts; recorded for provenance).
 	Workers int `json:"workers,omitempty"`
-	Tiles   int `json:"tiles,omitempty"`
 	// Pause is the way-point pause bound (0 = none).
 	Pause float64 `json:"pause,omitempty"`
 	// KernelPath records which compute kernel wrote the run ("avx2",

@@ -112,13 +112,6 @@ type Config struct {
 	// Workers > 1 steps agents on that many goroutines; results are
 	// bit-identical to sequential runs (agents are independent).
 	Workers int
-	// Tiles > 0 partitions the torus into Tiles x Tiles tiles: the
-	// spatial index switches to the tiled two-level counting sort and
-	// the flooding sweep to per-tile passes with whole-tile frontier
-	// skips. Results are bit-identical to the flat world at any tile
-	// count; worthwhile from ~100k agents up (see ARCHITECTURE.md,
-	// "The tiled world").
-	Tiles int
 	// Pause > 0 adds Uniform(0, Pause) way-point pauses to the MRWP model
 	// (the classic RWP-literature variant). Only valid with Model == MRWP
 	// and Init == Stationary; the stationary law becomes the mixture
@@ -185,7 +178,7 @@ func New(cfg Config) (*Simulation, error) {
 	}
 	w, err := sim.NewWorld(sim.Params{
 		N: cfg.N, L: cfg.L, R: cfg.R, V: cfg.V,
-		Seed: cfg.Seed, Workers: cfg.Workers, Tiles: cfg.Tiles,
+		Seed: cfg.Seed, Workers: cfg.Workers,
 	}, factory)
 	if err != nil {
 		return nil, fmt.Errorf("manhattan: %w", err)

@@ -43,7 +43,7 @@ func NewRecorder(out io.Writer, s *Simulation, opts RecordOptions) (*Recorder, e
 	cfg := s.Config()
 	w, err := tracev2.NewWriter(out, tracev2.RunInfo{
 		N: cfg.N, L: cfg.L, R: cfg.R, V: cfg.V, Seed: cfg.Seed,
-		Model: cfg.Model.String(), Workers: cfg.Workers, Tiles: cfg.Tiles,
+		Model: cfg.Model.String(), Workers: cfg.Workers,
 		Pause: cfg.Pause, KernelPath: kernel.Path(),
 		KeyframeEvery: opts.KeyframeEvery,
 	})
@@ -69,7 +69,6 @@ type TraceInfo struct {
 	Seed          uint64
 	Model         string
 	Workers       int
-	Tiles         int
 	Pause         float64
 	KernelPath    string
 	KeyframeEvery int
@@ -100,7 +99,7 @@ func (r *Replay) Info() TraceInfo {
 	in := r.rd.Info()
 	return TraceInfo{
 		N: in.N, L: in.L, R: in.R, V: in.V, Seed: in.Seed,
-		Model: in.Model, Workers: in.Workers, Tiles: in.Tiles,
+		Model: in.Model, Workers: in.Workers,
 		Pause: in.Pause, KernelPath: in.KernelPath,
 		KeyframeEvery: in.KeyframeEvery,
 	}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"math/rand/v2"
+	"os"
 	"testing"
 )
 
@@ -38,46 +39,72 @@ func (c *capturingRecorder) ObserveStep(v StepView) error {
 
 // TestRecordReplayRoundTrip is the round-trip property test: a recorded
 // flooding run must replay bit-identically — positions, informed set and
-// the newly-informed discovery order — across the tiled/flat worlds,
-// sequential/parallel stepping, and slow and fast agents (V/R = 0.05,
-// where few agents change bucket per step, and V/R = 0.5, where many do).
+// the newly-informed discovery order — across sequential/parallel
+// stepping and slow and fast agents (V/R = 0.05, where few agents change
+// bucket per step, and V/R = 0.5, where many do). The subtest names keep
+// their tiles=0 prefix from when a tiled world layout existed, so test
+// IDs stay stable.
+//
+// One more input is a committed trace written by that tiled layout
+// (testdata/trace_tiles4.mft, 4 x 4 tiles, two workers): its header
+// still carries "tiles": 4, and it must open and replay bit-exactly
+// against today's flat run of the same configuration.
 func TestRecordReplayRoundTrip(t *testing.T) {
-	for _, tiles := range []int{0, 4} {
-		for _, workers := range []int{0, 4} {
-			for _, v := range []float64{0.05, 0.5} { // slow / fast agents (R = 1)
-				name := fmt.Sprintf("tiles=%d/workers=%d/v=%g", tiles, workers, v)
-				t.Run(name, func(t *testing.T) {
-					cfg := Config{
-						N: 600, L: 24.5, R: 1, V: v, Seed: 42,
-						Workers: workers, Tiles: tiles, Pause: 2,
-					}
-					sim, err := New(cfg)
-					if err != nil {
-						t.Fatalf("New: %v", err)
-					}
-					var buf bytes.Buffer
-					rec, err := NewRecorder(&buf, sim, RecordOptions{KeyframeEvery: 8})
-					if err != nil {
-						t.Fatalf("NewRecorder: %v", err)
-					}
-					cap := &capturingRecorder{rec: rec}
-					sim.Attach(cap)
-					res, err := sim.Flood(FloodOptions{Source: SourceCenter, MaxSteps: 2000})
-					sim.Detach()
-					if err != nil {
-						t.Fatalf("Flood: %v", err)
-					}
-					if !res.Completed {
-						t.Fatalf("flood did not complete in 2000 steps (informed %d/%d)", res.Informed, cfg.N)
-					}
-					if len(cap.steps) < 20 {
-						t.Fatalf("only %d frames captured; want a multi-keyframe run", len(cap.steps))
-					}
-					checkReplayMatches(t, buf.Bytes(), cap, cfg.N)
-				})
-			}
+	for _, workers := range []int{0, 4} {
+		for _, v := range []float64{0.05, 0.5} { // slow / fast agents (R = 1)
+			name := fmt.Sprintf("tiles=0/workers=%d/v=%g", workers, v)
+			t.Run(name, func(t *testing.T) {
+				cfg := Config{
+					N: 600, L: 24.5, R: 1, V: v, Seed: 42,
+					Workers: workers, Pause: 2,
+				}
+				var buf bytes.Buffer
+				cap := recordFlood(t, cfg, &buf)
+				if len(cap.steps) < 20 {
+					t.Fatalf("only %d frames captured; want a multi-keyframe run", len(cap.steps))
+				}
+				checkReplayMatches(t, buf.Bytes(), cap, cfg.N)
+			})
 		}
 	}
+	t.Run("legacy-tiles-header", func(t *testing.T) {
+		data, err := os.ReadFile("testdata/trace_tiles4.mft")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Contains(data, []byte(`"tiles":4`)) {
+			t.Fatal(`fixture header does not carry "tiles":4`)
+		}
+		cfg := Config{N: 100, L: 10, R: 1, V: 0.5, Seed: 42, Workers: 2, Pause: 2}
+		cap := recordFlood(t, cfg, io.Discard)
+		checkReplayMatches(t, data, cap, cfg.N)
+	})
+}
+
+// recordFlood floods a simulation of cfg from the center to completion
+// while recording it to out, and returns every view captured at the
+// observer seam.
+func recordFlood(t *testing.T, cfg Config, out io.Writer) *capturingRecorder {
+	t.Helper()
+	sim, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	rec, err := NewRecorder(out, sim, RecordOptions{KeyframeEvery: 8})
+	if err != nil {
+		t.Fatalf("NewRecorder: %v", err)
+	}
+	cap := &capturingRecorder{rec: rec}
+	sim.Attach(cap)
+	res, err := sim.Flood(FloodOptions{Source: SourceCenter, MaxSteps: 2000})
+	sim.Detach()
+	if err != nil {
+		t.Fatalf("Flood: %v", err)
+	}
+	if !res.Completed {
+		t.Fatalf("flood did not complete in 2000 steps (informed %d/%d)", res.Informed, cfg.N)
+	}
+	return cap
 }
 
 func checkReplayMatches(t *testing.T, data []byte, cap *capturingRecorder, n int) {
